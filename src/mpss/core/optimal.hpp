@@ -22,6 +22,8 @@
 // sets sit on lower machine indices (the Lemma 6 normal form).
 //
 // All arithmetic is exact (mpss::Q), making the "flow value == W/s" test literal.
+// core/optimal.cpp holds this loop once, templated on a numeric policy; the
+// double-precision engine (optimal_fast.hpp) is its other instantiation.
 //
 // Note the power function does not appear: the optimal *schedule* is the same for
 // every convex non-decreasing P (the algorithm minimizes speeds lexicographically);

@@ -3,11 +3,12 @@
 //
 // The exact engine (core/optimal.hpp) pays arbitrary-precision rational costs to
 // make the paper's equality tests literal. This is the engineering counterpart a
-// production system would deploy: the same phase/round/flow structure over IEEE
-// doubles with relative-epsilon acceptance tests. It trades certainty for speed
-// (order-of-magnitude; see bench_offline and experiment E13) and is validated
-// against the exact engine in tests -- energies agree to ~1e-9 relative on every
-// sampled instance.
+// production system would deploy. Both engines run one phase loop
+// (core/optimal.cpp), instantiated with two numeric policies: exact equality
+// over Q there, IEEE doubles with relative-epsilon acceptance tests and
+// ulp-drift clamps here. It trades certainty for speed (order-of-magnitude; see
+// bench_offline and experiment E13) and is validated against the exact engine
+// in tests -- energies agree to ~1e-9 relative on every sampled instance.
 //
 // The fast path returns its own lightweight schedule type: re-encoding binary
 // doubles as exact rationals would launder approximation into "exact" data.
@@ -73,20 +74,14 @@ struct FastOptimalOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// The offline algorithm over doubles. `epsilon` is the relative tolerance of the
-/// flow-saturation tests (default 1e-9; looser values risk misclassifying phases
-/// on near-degenerate instances -- experiment E13 quantifies this). With a
-/// non-null `trace`, emits the same event stream as the exact engine under
-/// "optimal_fast.*" labels.
-[[nodiscard]] FastOptimalResult optimal_schedule_fast(const Instance& instance,
-                                                      double epsilon = 1e-9,
-                                                      obs::TraceSink* trace = nullptr);
-
-/// As above with the full option set (incremental warm starts, cancellation).
-/// `trace` records the "optimal_fast.*" event stream; null falls back to the
-/// process-wide sink in obs::Registry.
-[[nodiscard]] FastOptimalResult optimal_schedule_fast(const Instance& instance,
-                                                      const FastOptimalOptions& options,
-                                                      obs::TraceSink* trace = nullptr);
+/// The offline algorithm over doubles. `options.epsilon` is the relative
+/// tolerance of the flow-saturation tests (default 1e-9; looser values risk
+/// misclassifying phases on near-degenerate instances -- experiment E13
+/// quantifies this). `trace` records the same event stream as the exact engine
+/// under "optimal_fast.*" labels; null falls back to the process-wide sink in
+/// obs::Registry.
+[[nodiscard]] FastOptimalResult optimal_schedule_fast(
+    const Instance& instance, const FastOptimalOptions& options = {},
+    obs::TraceSink* trace = nullptr);
 
 }  // namespace mpss

@@ -56,7 +56,6 @@ SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
     case Engine::kFast: {
       FastOptimalOptions fast;
       fast.epsilon = options.fast_epsilon;
-      fast.incremental = options.fast_incremental;
       fast.cancel = options.cancel;
       FastOptimalResult r = optimal_schedule_fast(instance, fast, sink);
       result.energy = r.schedule.energy(p);

@@ -85,9 +85,6 @@ struct SolveOptions {
 
   /// Fast engine: relative tolerance of the flow-saturation tests.
   double fast_epsilon = 1e-9;
-  /// Fast engine: warm-started incremental phase rounds (the exact engine's
-  /// knob lives on `exact.incremental`).
-  bool fast_incremental = true;
 
   /// AVR engine.
   AvrOptions avr;

@@ -204,6 +204,28 @@ TEST(Protocol, ResultRoundTripsBitIdentically) {
   }
 }
 
+TEST(Protocol, RetiredIncrementalKeysAreIgnored) {
+  // Older clients may still send the removed rebuild-path switches; the decoder
+  // skips unknown keys, so such a request runs with the default options.
+  Request request;
+  request.verb = Verb::kSolve;
+  request.instances = {small_instance()};
+  json::Value document = json::parse(encode_request(request));
+  json::Value options = *document.find("options");
+  options.set("exact_incremental", false);
+  options.set("fast_incremental", false);
+  json::Object members = document.as_object();
+  for (auto& [key, value] : members) {
+    if (key == "options") value = options;
+  }
+
+  Request decoded = decode_request(json::serialize(json::Value(members)));
+  const SolveOptions defaults;
+  EXPECT_TRUE(decoded.options.exact.incremental);
+  EXPECT_EQ(solve_options_to_json_value(decoded.options),
+            solve_options_to_json_value(defaults));
+}
+
 TEST(Protocol, DecodersRejectBadDocuments) {
   auto code_of = [](std::string_view payload) {
     try {

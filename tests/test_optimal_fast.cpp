@@ -7,6 +7,7 @@
 
 #include "mpss/core/optimal.hpp"
 #include "mpss/workload/generators.hpp"
+#include "mpss/workload/transform.hpp"
 
 namespace mpss {
 namespace {
@@ -76,8 +77,31 @@ TEST(OptimalFast, EmptyAndZeroWork) {
 
 TEST(OptimalFast, RejectsBadEpsilon) {
   Instance instance({Job{Q(0), Q(1), Q(1)}}, 1);
-  EXPECT_THROW((void)optimal_schedule_fast(instance, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)optimal_schedule_fast(instance, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)optimal_schedule_fast(instance, FastOptimalOptions{.epsilon = 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)optimal_schedule_fast(instance, FastOptimalOptions{.epsilon = 0.5}),
+               std::invalid_argument);
+}
+
+TEST(OptimalFast, TinyEpsilonStaysOnReservedMachines) {
+  // Regression: with epsilon below the packer's 1e-12 wrap rounding, the wrap
+  // once ran past the interval's last reserved machine and wrote beyond the
+  // machine list (a heap overflow reachable through fast_epsilon on the wire).
+  struct Case {
+    std::size_t jobs;
+    std::uint64_t seed;
+    double epsilon;
+  };
+  for (const Case& c : {Case{24, 142, 1e-14}, Case{16, 58, 1e-15}}) {
+    Instance instance = scale_work(
+        scale_time(generate_uniform({.jobs = c.jobs, .machines = 2, .horizon = 48,
+                                     .max_window = 12, .max_work = 9},
+                                    c.seed),
+                   Q(1009, 997)),
+        Q(101, 103));
+    auto fast = optimal_schedule_fast(instance, FastOptimalOptions{.epsilon = c.epsilon});
+    EXPECT_EQ(count_fast_violations(instance, fast.schedule), 0u) << c.seed;
+  }
 }
 
 TEST(OptimalFast, NoDegenerateSlicesOnLargeHorizons) {

@@ -2,7 +2,8 @@
 // the exact engine's incremental path must be BIT-IDENTICAL to the rebuild
 // path -- phases, speeds, reservations, rounds, and the full schedule -- on the
 // golden corpus and across random workloads; the fast (double) engine agrees
-// within its usual tolerances. Also pins the warm-start telemetry counters.
+// within its usual tolerances. Also pins both engines' warm-start and arena
+// telemetry counters (they share one phase loop).
 
 #include <filesystem>
 #include <optional>
@@ -35,6 +36,12 @@ OptimalResult run_exact(const Instance& instance, bool incremental,
   options.removal_policy = policy;
   options.ablation_seed = seed;
   return optimal_schedule(instance, options);
+}
+
+FastOptimalResult run_fast(const Instance& instance, bool incremental) {
+  FastOptimalOptions options;
+  options.incremental = incremental;
+  return optimal_schedule_fast(instance, options);
 }
 
 void expect_bit_identical(const Instance& instance, const OptimalResult& warm,
@@ -182,19 +189,27 @@ Instance removal_heavy_instance() {
       LaminarWorkload{.jobs = 24, .machines = 3, .depth = 7, .max_work = 12}, 3);
 }
 
+/// Both engines run the same phase loop, so both must report warm starts on
+/// their incremental path and none when rebuilding every round.
+void expect_warm_start_counters(const obs::SolveStats& warm,
+                                const obs::SolveStats& rebuild, const char* engine) {
+  EXPECT_GT(warm.counters.value("flow.warm_starts"), 0u) << engine;
+  EXPECT_GT(warm.counters.value("flow.resume_bfs"), 0u) << engine;
+  EXPECT_GT(warm.counters.value("flow.retracted_units"), 0u) << engine;
+
+  EXPECT_EQ(rebuild.counters.value("flow.warm_starts"), 0u) << engine;
+  EXPECT_EQ(rebuild.counters.value("flow.resume_bfs"), 0u) << engine;
+  EXPECT_EQ(rebuild.counters.value("flow.retracted_units"), 0u) << engine;
+}
+
 TEST(OptimalIncremental, WarmStartCountersSurfaceThroughStats) {
   Instance instance = removal_heavy_instance();
   auto warm = run_exact(instance, true);
   ASSERT_GT(warm.flow_computations, warm.phases.size())
       << "precondition: instance must have removal rounds";
-  EXPECT_GT(warm.stats.counters.value("flow.warm_starts"), 0u);
-  EXPECT_GT(warm.stats.counters.value("flow.resume_bfs"), 0u);
-  EXPECT_GT(warm.stats.counters.value("flow.retracted_units"), 0u);
-
-  auto rebuild = run_exact(instance, false);
-  EXPECT_EQ(rebuild.stats.counters.value("flow.warm_starts"), 0u);
-  EXPECT_EQ(rebuild.stats.counters.value("flow.resume_bfs"), 0u);
-  EXPECT_EQ(rebuild.stats.counters.value("flow.retracted_units"), 0u);
+  expect_warm_start_counters(warm.stats, run_exact(instance, false).stats, "exact");
+  expect_warm_start_counters(run_fast(instance, true).stats,
+                             run_fast(instance, false).stats, "fast");
 }
 
 TEST(OptimalIncremental, WarmStartReducesDinicWork) {
@@ -222,14 +237,6 @@ TEST(OptimalIncremental, SolveFacadePublishesFlowCountersToRegistry) {
   EXPECT_GT(result.stats.counters.value("flow.warm_starts"), 0u);
   auto after = obs::Registry::global().snapshot().value("flow.warm_starts");
   EXPECT_GT(after, before);
-
-  // The facade's fast_incremental knob reaches the fast engine.
-  SolveOptions fast_off;
-  fast_off.engine = Engine::kFast;
-  fast_off.fast_incremental = false;
-  auto fast_result = solve(instance, fast_off);
-  ASSERT_TRUE(fast_result.ok());
-  EXPECT_EQ(fast_result.stats.counters.value("flow.warm_starts"), 0u);
 }
 
 TEST(OptimalIncremental, ArenaCountersSurfaceThroughStats) {
@@ -247,14 +254,18 @@ TEST(OptimalIncremental, SteadyStateWarmRoundsAreAllocationFree) {
   // pooled arena (mem.arena_reuses counts rewinds at scope release, so the
   // second solve observes at least one).
   Instance instance = removal_heavy_instance();
-  (void)run_exact(instance, true);  // cold solve: warms this thread's pool
-  for (int round = 0; round < 3; ++round) {
-    auto warm = run_exact(instance, true);
-    EXPECT_EQ(warm.stats.counters.value("mem.fallback_allocs"), 0u)
-        << "steady-state round " << round << " fell back to the heap";
-    EXPECT_GE(warm.stats.counters.value("mem.arena_reuses"), 1u);
-    EXPECT_GT(warm.stats.counters.value("mem.arena_bytes"), 0u);
-  }
+  auto expect_steady_state = [](auto solve_once, const char* engine) {
+    (void)solve_once();  // cold solve: warms this thread's pool
+    for (int round = 0; round < 3; ++round) {
+      const obs::SolveStats stats = solve_once().stats;
+      EXPECT_EQ(stats.counters.value("mem.fallback_allocs"), 0u)
+          << engine << " steady-state round " << round << " fell back to the heap";
+      EXPECT_GE(stats.counters.value("mem.arena_reuses"), 1u) << engine;
+      EXPECT_GT(stats.counters.value("mem.arena_bytes"), 0u) << engine;
+    }
+  };
+  expect_steady_state([&] { return run_exact(instance, true); }, "exact");
+  expect_steady_state([&] { return run_fast(instance, true); }, "fast");
 }
 
 TEST(OptimalIncremental, SteadyStateHoldsOnCorpusInstances) {

@@ -2,7 +2,8 @@
 // the thread-local span stack, span-id stamping into ordinary events, the
 // registry-sink fallback, per-thread independence under the ThreadPool, and
 // the headline attribution property -- on a real corpus solve the root span
-// covers (almost all of) the engine's reported wall time.
+// covers (almost all of) the engine's reported wall time, for both offline
+// engines.
 
 #include <algorithm>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "mpss/core/optimal.hpp"
+#include "mpss/core/optimal_fast.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/span.hpp"
 #include "mpss/obs/trace.hpp"
@@ -239,50 +241,73 @@ std::vector<std::string> corpus_paths() {
   return paths;
 }
 
+/// Runs one offline engine on `instance` with `sink` attached and returns its
+/// reported wall time; `prefix` is the engine's span label prefix.
+double solve_traced(const std::string& prefix, const Instance& instance,
+                    MemorySink& sink) {
+  if (prefix == "optimal") {
+    return optimal_schedule(instance, OptimalOptions{}, &sink).stats.wall_seconds;
+  }
+  return optimal_schedule_fast(instance, FastOptimalOptions{}, &sink).stats.wall_seconds;
+}
+
+const std::vector<std::string> kEnginePrefixes = {"optimal", "optimal_fast"};
+
 TEST_F(SpanTest, RootSolveSpanCoversWallTimeOnCorpus) {
   auto paths = corpus_paths();
   ASSERT_GE(paths.size(), 1u);
-  for (const std::string& path : paths) {
-    SCOPED_TRACE(path);
-    Instance instance = load_instance(path);
-    MemorySink sink;
-    OptimalResult result = optimal_schedule(instance, OptimalOptions{}, &sink);
+  for (const std::string& prefix : kEnginePrefixes) {
+    for (const std::string& path : paths) {
+      SCOPED_TRACE(prefix + " " + path);
+      Instance instance = load_instance(path);
+      MemorySink sink;
+      const double wall_seconds = solve_traced(prefix, instance, sink);
 
-    double root_seconds = 0.0;
-    for (const TraceEvent& e : sink.events()) {
-      if (e.kind == EventKind::kSpanEnd && e.label == "optimal.solve" && e.b == 0) {
-        root_seconds += e.value;
+      double root_seconds = 0.0;
+      for (const TraceEvent& e : sink.events()) {
+        if (e.kind == EventKind::kSpanEnd && e.label == prefix + ".solve" && e.b == 0) {
+          root_seconds += e.value;
+        }
       }
+      EXPECT_GE(root_seconds, 0.95 * wall_seconds);
     }
-    EXPECT_GE(root_seconds, 0.95 * result.stats.wall_seconds);
   }
 }
 
 TEST_F(SpanTest, SolveTraceNestsRoundsUnderPhasesUnderSolve) {
   Instance instance = load_instance(corpus_paths().front());
-  MemorySink sink;
-  (void)optimal_schedule(instance, OptimalOptions{}, &sink);
+  for (const std::string& prefix : kEnginePrefixes) {
+    SCOPED_TRACE(prefix);
+    MemorySink sink;
+    (void)solve_traced(prefix, instance, sink);
 
-  std::map<std::uint64_t, std::string> label_of;  // span id -> label
-  std::map<std::uint64_t, std::uint64_t> parent_of;
-  for (const TraceEvent& e : sink.events()) {
-    if (e.kind != EventKind::kSpanBegin) continue;
-    label_of[e.a] = e.label;
-    parent_of[e.a] = e.b;
-  }
-  ASSERT_FALSE(label_of.empty());
-  std::size_t rounds = 0;
-  for (const auto& [id, label] : label_of) {
-    if (label == "optimal.solve") {
-      EXPECT_EQ(parent_of[id], 0u);
-    } else if (label == "optimal.phase") {
-      EXPECT_EQ(label_of.at(parent_of.at(id)), "optimal.solve");
-    } else if (label == "optimal.round") {
-      ++rounds;
-      EXPECT_EQ(label_of.at(parent_of.at(id)), "optimal.phase");
+    std::map<std::uint64_t, std::string> label_of;  // span id -> label
+    std::map<std::uint64_t, std::uint64_t> parent_of;
+    for (const TraceEvent& e : sink.events()) {
+      if (e.kind != EventKind::kSpanBegin) continue;
+      label_of[e.a] = e.label;
+      parent_of[e.a] = e.b;
     }
+    ASSERT_FALSE(label_of.empty());
+    std::size_t solves = 0;
+    std::size_t phases = 0;
+    std::size_t rounds = 0;
+    for (const auto& [id, label] : label_of) {
+      if (label == prefix + ".solve") {
+        ++solves;
+        EXPECT_EQ(parent_of[id], 0u);
+      } else if (label == prefix + ".phase") {
+        ++phases;
+        EXPECT_EQ(label_of.at(parent_of.at(id)), prefix + ".solve");
+      } else if (label == prefix + ".round") {
+        ++rounds;
+        EXPECT_EQ(label_of.at(parent_of.at(id)), prefix + ".phase");
+      }
+    }
+    EXPECT_EQ(solves, 1u);
+    EXPECT_GE(phases, 1u);
+    EXPECT_GE(rounds, 1u);
   }
-  EXPECT_GE(rounds, 1u);
 }
 
 }  // namespace
