@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "mpss/flow/dinic.hpp"
-#include "mpss/flow/push_relabel.hpp"
 #include "mpss/util/arena.hpp"
 #include "mpss/util/random.hpp"
 
@@ -16,8 +15,8 @@ using mpss::Q;
 
 /// Builds the bipartite job-interval style network the scheduler uses:
 /// source -> J jobs -> I intervals -> sink, each job connected to a random
-/// subset of intervals (contiguous runs, like activity windows). `Net` is either
-/// FlowNetwork (Dinic) or PushRelabelNetwork -- they share the builder interface.
+/// subset of intervals (contiguous runs, like activity windows). `Net` is a
+/// FlowNetwork over the benchmark's capacity type.
 template <typename Net, typename MakeCap>
 Net scheduler_shaped_network(std::size_t jobs, std::size_t intervals,
                              MakeCap make_cap, std::uint64_t seed) {
@@ -180,36 +179,5 @@ void BM_FlowCsrFreeze(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowCsrFreeze)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_PushRelabelInt64(benchmark::State& state) {
-  auto jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto net = scheduler_shaped_network<mpss::PushRelabelNetwork<std::int64_t>>(
-        jobs, 2 * jobs, [](std::int64_t v) { return v; }, 7);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(net.max_flow(0, net.node_count() - 1));
-  }
-  auto net = scheduler_shaped_network<mpss::PushRelabelNetwork<std::int64_t>>(
-      jobs, 2 * jobs, [](std::int64_t v) { return v; }, 7);
-  net.max_flow(0, net.node_count() - 1);
-  state.counters["pushes"] = static_cast<double>(net.kernel_stats().pushes);
-  state.counters["relabels"] = static_cast<double>(net.kernel_stats().relabels);
-}
-BENCHMARK(BM_PushRelabelInt64)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_PushRelabelRational(benchmark::State& state) {
-  auto jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    mpss::Xoshiro256 den_rng(11);
-    auto net = scheduler_shaped_network<mpss::PushRelabelNetwork<Q>>(
-        jobs, 2 * jobs,
-        [&den_rng](std::int64_t v) { return Q(v, den_rng.uniform_int(1, 6)); }, 7);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(net.max_flow(0, net.node_count() - 1));
-  }
-}
-BENCHMARK(BM_PushRelabelRational)->Arg(16)->Arg(64)->Arg(128);
 
 }  // namespace

@@ -113,41 +113,32 @@ BENCHMARK(BM_LaminarDeepPhases)->Arg(16)->Arg(32);
 
 /// Round-heavy workload for the warm-start benchmarks: a deep laminar hierarchy
 /// keeps the per-phase Lemma-4 removal chains long at every n (hundreds to
-/// thousands of flow rounds) -- the regime the incremental path (DESIGN S42)
-/// targets. Shallower hierarchies degenerate to one phase as n grows.
+/// thousands of flow rounds) -- the regime the warm-started rounds (DESIGN S42)
+/// target. Shallower hierarchies degenerate to one phase as n grows.
 Instance round_heavy_instance(std::size_t jobs) {
   return generate_laminar({.jobs = jobs, .machines = 3, .depth = 7, .max_work = 12}, 3);
 }
 
 void BM_OptimalIncrementalRounds(benchmark::State& state) {
-  // Exact engine, warm-started (incremental=true, the default) vs rebuild
-  // (range(1)==0). Compare bfs_rounds/aug_paths counters between the two
-  // variants at the same n for the Dinic-work reduction.
+  // Exact engine on the round-heavy workload; the bfs_rounds/aug_paths
+  // counters track the Dinic work of the warm-started rounds.
   Instance instance = round_heavy_instance(static_cast<std::size_t>(state.range(0)));
-  OptimalOptions options;
-  options.incremental = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_schedule(instance, options));
+    benchmark::DoNotOptimize(optimal_schedule(instance));
   }
-  report_stats(state, optimal_schedule(instance, options).stats);
+  report_stats(state, optimal_schedule(instance).stats);
 }
-BENCHMARK(BM_OptimalIncrementalRounds)
-    ->ArgsProduct({{16, 64}, {0, 1}})
-    ->ArgNames({"jobs", "incremental"});
+BENCHMARK(BM_OptimalIncrementalRounds)->Arg(16)->Arg(64)->ArgName("jobs");
 
 void BM_FastIncrementalRounds(benchmark::State& state) {
-  // Same comparison on the double-precision engine, which reaches n=256.
+  // Same workload on the double-precision engine, which reaches n=256.
   Instance instance = round_heavy_instance(static_cast<std::size_t>(state.range(0)));
-  FastOptimalOptions options;
-  options.incremental = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_schedule_fast(instance, options));
+    benchmark::DoNotOptimize(optimal_schedule_fast(instance));
   }
-  report_stats(state, optimal_schedule_fast(instance, options).stats);
+  report_stats(state, optimal_schedule_fast(instance).stats);
 }
-BENCHMARK(BM_FastIncrementalRounds)
-    ->ArgsProduct({{16, 64, 256}, {0, 1}})
-    ->ArgNames({"jobs", "incremental"});
+BENCHMARK(BM_FastIncrementalRounds)->Arg(16)->Arg(64)->Arg(256)->ArgName("jobs");
 
 void BM_OptimalScheduleFastByJobs(benchmark::State& state) {
   // The double-precision engine on the same instances as the exact benchmark.

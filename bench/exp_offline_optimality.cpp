@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       Instance instance = generate_uniform(
           {.jobs = n, .machines = m, .horizon = 2 * static_cast<std::int64_t>(n),
            .max_window = 12, .max_work = 9}, 7);
-      OptimalResult result{Schedule(1), IntervalDecomposition({}), {}, 0, {}};
+      OptimalResult result{Schedule(1), IntervalDecomposition({}), {}, 0, {}, {}};
       double seconds = exp::timed_seconds([&] { result = optimal_schedule(instance); });
       bool feasible = check_schedule(instance, result.schedule).feasible;
       feasible_ok &= feasible;

@@ -49,9 +49,8 @@ void check_loop(bool condition, const char* what) {
 /// One phase's flow network G(J, m, s) plus the bookkeeping needed to read
 /// per-(job, interval) processing times back out of the solved flow and to
 /// edit capacities in place between rounds. Edge vectors are addressed by
-/// position in the candidate set the network was *built* for; on the
-/// incremental path the round loop maps current candidate positions back to
-/// build positions.
+/// position in the candidate set the network was *built* for; the round loop
+/// maps current candidate positions back to build positions.
 template <typename T>
 struct RoundNetwork {
   using EdgeId = typename FlowNetwork<T>::EdgeId;
@@ -252,10 +251,9 @@ void run_phases(const Instance& instance, const Policy& policy,
     T speed{};
     RoundNetwork<T> round;
     // Maps current candidate position -> position at network build time (the
-    // index into round.source_edges / round.job_edges). Identity right after a
-    // build; kept in sync with `candidates` erases on the incremental path.
+    // index into round.source_edges / round.job_edges). Identity right after the
+    // build; kept in sync with `candidates` erases.
     std::vector<std::size_t> built_pos;
-    bool built = false;  // round.net holds a usable network (incremental only)
 
     for (;;) {
       // Round boundary: the network is consistent here (no half-applied
@@ -267,9 +265,11 @@ void run_phases(const Instance& instance, const Policy& policy,
                          "candidate set emptied; Lemma 4 invariant broken");
       ++rounds;
       ++result.flow_computations;
+      // The phase's first round builds the network; later rounds resume it.
+      const bool resumed = rounds > 1;
 
       // Reserve m_j = min(n_j, m - used_j) processors per interval (Lemma 3).
-      // Within a phase n_j only shrinks, so on the incremental path a changed
+      // Within a phase n_j only shrinks, so once the network is built a changed
       // reservation is a capacity *decrease* on an existing sink edge; the
       // victim's retraction already lowered the carried flow below the new cap
       // (see DESIGN.md "Warm-start invariant").
@@ -278,7 +278,7 @@ void run_phases(const Instance& instance, const Policy& policy,
       for (std::size_t j = 0; j < interval_count; ++j) {
         count_active[j] = active.row_and_popcount(j, candidate_mask);
         const std::size_t r = std::min(count_active[j], m - used[j]);
-        if (built && r != reserved[j]) {
+        if (resumed && r != reserved[j]) {
           Policy::set_capacity(round.net, round.sink_edge_of(j),
                                reserved_time_of(policy, j, r));
         }
@@ -291,13 +291,11 @@ void run_phases(const Instance& instance, const Policy& policy,
       speed = work / reserved_time;
 
       T flow_value{};
-      const bool resumed = built;  // else this round's flow is a from-zero solve
       if (!resumed) {
         round = build_network(policy, candidates, active, count_active, reserved, speed,
                               *scratch);
         built_pos.resize(candidates.size());
         std::iota(built_pos.begin(), built_pos.end(), std::size_t{0});
-        built = options.incremental;  // rebuild path: tear down every round
         flow_value = round.net.max_flow(round.source, round.sink);
       } else {
         // Warm start: rescale the surviving source capacities to the new speed
@@ -330,11 +328,12 @@ void run_phases(const Instance& instance, const Policy& policy,
       // Target F_G = W / s = P: all source and sink edges saturated.
       if (policy.saturates(flow_value, reserved_time)) {
         if (Policy::kCanonicalClose && resumed) {
-          // The resumed flow has the optimal *value* but not necessarily the
-          // rebuild path's per-edge split, and the schedule is extracted from
-          // per-edge flows. Re-solve from zero on the reused network: dead
-          // vertices (sealed source edges, drained intervals) are invisible to
-          // Dinic, so this reproduces the fresh-build flow bit for bit.
+          // The resumed flow has the optimal *value*, but the schedule is
+          // extracted from the per-edge split, and a resumed split tends to
+          // use more edges, hence more slices. Re-solve from zero on the
+          // reused network: dead vertices (sealed source edges, drained
+          // intervals) are invisible to Dinic, so this gives the flow a fresh
+          // build of the final candidate set would.
           T confirm = round.net.max_flow(round.source, round.sink);
           result.stats.flow_bfs_rounds += round.net.kernel_stats().bfs_rounds;
           result.stats.flow_augmenting_paths +=
@@ -372,18 +371,15 @@ void run_phases(const Instance& instance, const Policy& policy,
                 paper_rule ? labels.lemma4_removal : labels.ablated_removal, phase_index,
                 candidates[victim_pos]);
 
-      if (built) {
-        // Retract the victim's flow (leaving a feasible flow on the surviving
-        // jobs) and seal its source edge so resumed searches cannot refill it.
-        const std::size_t edge = round.source_edges[built_pos[victim_pos]];
-        T carried = round.net.flow(edge);
-        if (positive(carried)) {
-          retracted_units +=
-              retract_job_flow<Policy>(round, built_pos[victim_pos], carried);
-        }
-        Policy::set_capacity(round.net, edge, T(0));
-        built_pos.erase(built_pos.begin() + static_cast<std::ptrdiff_t>(victim_pos));
+      // Retract the victim's flow (leaving a feasible flow on the surviving
+      // jobs) and seal its source edge so resumed searches cannot refill it.
+      const std::size_t edge = round.source_edges[built_pos[victim_pos]];
+      T carried = round.net.flow(edge);
+      if (positive(carried)) {
+        retracted_units += retract_job_flow<Policy>(round, built_pos[victim_pos], carried);
       }
+      Policy::set_capacity(round.net, edge, T(0));
+      built_pos.erase(built_pos.begin() + static_cast<std::ptrdiff_t>(victim_pos));
       ActiveBitmap::mask_clear(candidate_mask, candidates[victim_pos]);
       candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(victim_pos));
     }
@@ -453,8 +449,9 @@ struct ExactPolicy {
       "optimal.warm_start",     "optimal.lemma4_removal", "optimal.ablated_removal",
       "optimal.arena",          "optimal.intervals",      "optimal.round_us",
       "optimal.rounds_per_phase", "optimal.resume_bfs"};
-  /// A phase closed by a resumed flow is re-solved from zero so the schedule
-  /// matches the rebuild path bit for bit (DESIGN.md "Warm-start invariant").
+  /// A phase closed by a resumed flow is re-solved from zero: that split packs
+  /// into fewer slices, keeping replies compact (DESIGN.md "Warm-start
+  /// invariant").
   static constexpr bool kCanonicalClose = true;
 
   const Instance& instance;
@@ -525,7 +522,8 @@ class FastPolicy {
       "optimal_fast.arena",          "optimal_fast.intervals",
       "optimal_fast.round_us",       "optimal_fast.rounds_per_phase",
       "optimal_fast.resume_bfs"};
-  /// Resumed and rebuilt flows agree only within tolerance anyway.
+  /// Off: the double engine keeps the resumed split and saves the from-zero
+  /// flow per phase; nothing pins its slices bit for bit.
   static constexpr bool kCanonicalClose = false;
 
   FastPolicy(const Instance& instance, double epsilon)
@@ -679,9 +677,7 @@ FastOptimalResult optimal_schedule_fast(const Instance& instance,
   FastPolicy policy(instance, options.epsilon);
   FastOptimalResult result;
   result.schedule.machines.resize(instance.machines());
-  run_phases(instance, policy, result,
-             OptimalOptions{.incremental = options.incremental, .cancel = options.cancel},
-             trace);
+  run_phases(instance, policy, result, OptimalOptions{.cancel = options.cancel}, trace);
   return result;
 }
 

@@ -16,6 +16,11 @@
 //     unsaturated sink edge exposes a job that provably does not belong to J_i
 //     (Lemma 4) -- remove it and repeat.
 //
+// Rounds are warm-started: the network is built once per phase, and each removal
+// round retracts the victim's flow, rescales the source capacities to the new
+// speed, and resumes Dinic from the carried feasible flow (DESIGN.md
+// "Warm-start invariant").
+//
 // The flow on edge (u_k, v_j) is the processing time of job k inside interval I_j;
 // each interval's sequential working schedule is McNaughton-wrapped onto the
 // reserved processors. Phases claim the lowest-numbered free processors, so faster
@@ -94,13 +99,6 @@ struct OptimalOptions {
   };
   RemovalPolicy removal_policy = RemovalPolicy::kPaperRule;
   std::uint64_t ablation_seed = 0;  // PRNG seed for kRandomCandidate
-  /// Warm-started phase rounds (the default): build the flow network once per
-  /// phase, then per removal round retract the victim's flow, rescale the
-  /// source capacities to the new speed, and resume Dinic from the carried
-  /// feasible flow. `false` rebuilds the network from scratch every round (the
-  /// differential reference path). The two paths produce bit-identical results
-  /// -- phases, speeds, and schedules -- see DESIGN.md "Warm-start invariant".
-  bool incremental = true;
   /// Cooperative cancellation / soft deadline, polled at phase and round
   /// boundaries (util/cancel.hpp). When the token fires the engine throws
   /// CancelledError; the solve() facade turns that into kCancelled /

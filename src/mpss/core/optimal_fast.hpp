@@ -62,12 +62,6 @@ struct FastOptimalOptions {
   /// Relative tolerance of the flow-saturation tests (looser values risk
   /// misclassifying phases on near-degenerate instances -- experiment E13).
   double epsilon = 1e-9;
-  /// Warm-started phase rounds (the default): build the flow network once per
-  /// phase, then per removal round retract the victim's flow, rescale source
-  /// capacities, and resume Dinic. `false` rebuilds every round. Unlike the
-  /// exact engine the two paths agree only within the usual double tolerances
-  /// (flow splits are rounding-sensitive), not bit for bit.
-  bool incremental = true;
   /// Cooperative cancellation / soft deadline, polled at phase and round
   /// boundaries (util/cancel.hpp); the engine throws CancelledError when the
   /// token fires. Null never fires. Not owned; must outlive the call.

@@ -6,6 +6,8 @@
 //   * optimal_schedule()  -- the paper's combinatorial offline algorithm (Sec. 2),
 //   * oa_schedule()       -- Optimal Available for m processors (Sec. 3.1),
 //   * avr_schedule()      -- Average Rate for m processors (Sec. 3.2),
+//   * certify_optimal()   -- Theorem 1 checked on one exact schedule: optimal
+//                            for every convex non-decreasing P, or why not,
 //   * solve()             -- one facade over all engines, with telemetry,
 //   * BatchSolver         -- concurrent batch service over solve() (caching,
 //                            deadlines, priorities; service/batch_solver.hpp),
@@ -14,6 +16,7 @@
 // plus every substrate they stand on (exact rationals, max-flow, YDS, LP baseline,
 // non-migratory baselines, workload generators). See README.md for a tour.
 
+#include "mpss/core/certify.hpp"
 #include "mpss/core/gantt.hpp"
 #include "mpss/core/instance_json.hpp"
 #include "mpss/core/intervals.hpp"
@@ -33,7 +36,6 @@
 #include "mpss/ext/discrete_speeds.hpp"
 #include "mpss/ext/sleep.hpp"
 #include "mpss/flow/dinic.hpp"
-#include "mpss/flow/push_relabel.hpp"
 #include "mpss/lp/lp_baseline.hpp"
 #include "mpss/lp/simplex.hpp"
 #include "mpss/net/client.hpp"

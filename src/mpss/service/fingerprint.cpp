@@ -27,7 +27,6 @@ std::optional<std::uint64_t> solve_fingerprint(const Instance& instance,
   // simply hash apart.
   state = fnv_mix(state, static_cast<std::uint64_t>(options.exact.removal_policy));
   state = fnv_mix(state, options.exact.ablation_seed);
-  state = fnv_mix(state, static_cast<std::uint64_t>(options.exact.incremental));
   state = fnv_mix(state, options.fast_epsilon);
   state = fnv_mix(state, static_cast<std::uint64_t>(options.avr.enable_peeling));
   state = fnv_mix(state, static_cast<std::uint64_t>(options.lp_grid));

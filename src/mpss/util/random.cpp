@@ -64,9 +64,11 @@ std::uint64_t Xoshiro256::below(std::uint64_t bound) {
 }
 
 std::int64_t Xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) {
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Span and offset in uint64: wraps where int64 would overflow (wide ranges),
+  // and gives the same bits as int64 arithmetic everywhere else.
+  std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-  return lo + static_cast<std::int64_t>(below(span));
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + below(span));
 }
 
 double Xoshiro256::uniform01() {

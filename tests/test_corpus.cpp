@@ -1,14 +1,18 @@
 // Golden regression corpus: checked-in instances with checked-in EXACT optimal
 // per-job speeds (regenerate with tools/make_corpus after intentional algorithm
 // changes). Any refactor of the offline algorithm that alters an output breaks
-// these tests with a precise diff.
+// these tests with a precise diff, and every schedule must pass the optimality
+// certificate (core/certify.hpp), which checks it without the engine's logic.
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "mpss/core/certify.hpp"
 #include "mpss/core/instance_json.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/util/csv.hpp"
@@ -54,7 +58,9 @@ TEST_P(Corpus, OptimalSpeedsMatchGoldenExactly) {
   ASSERT_EQ(golden_rows.size(), instance.size() + 1);
 
   auto result = optimal_schedule(instance);
-  ASSERT_TRUE(check_schedule(instance, result.schedule).feasible);
+  // Feasible, and optimal for every convex non-decreasing P.
+  std::optional<std::string> failure = certify_optimal(instance, result.schedule);
+  ASSERT_FALSE(failure.has_value()) << GetParam() << ": " << *failure;
   for (std::size_t row = 1; row < golden_rows.size(); ++row) {
     ASSERT_EQ(golden_rows[row].size(), 2u);
     auto job = static_cast<std::size_t>(std::stoull(golden_rows[row][0]));

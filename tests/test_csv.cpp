@@ -120,7 +120,7 @@ TEST(Csv, FuzzWriterReaderRoundTrip) {
       }
       // A row whose only field is empty serializes to a blank line, which the
       // parser (by design) skips; keep the first field non-empty.
-      if (row.size() == 1 && row[0].empty()) row[0] = "x";
+      if (row.size() == 1 && row[0].empty()) row[0].push_back('x');
     }
     std::ostringstream os;
     CsvWriter writer(os);

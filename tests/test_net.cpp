@@ -221,7 +221,6 @@ TEST(Protocol, RetiredIncrementalKeysAreIgnored) {
 
   Request decoded = decode_request(json::serialize(json::Value(members)));
   const SolveOptions defaults;
-  EXPECT_TRUE(decoded.options.exact.incremental);
   EXPECT_EQ(solve_options_to_json_value(decoded.options),
             solve_options_to_json_value(defaults));
 }

@@ -96,29 +96,6 @@ TEST(Optimal, MatchesYdsOnSingleMachine) {
   }
 }
 
-TEST(Optimal, FeasibleAcrossWorkloadFamilies) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    std::vector<Instance> instances{
-        generate_uniform({.jobs = 12, .machines = 3, .horizon = 20,
-                          .max_window = 10, .max_work = 8}, seed),
-        generate_bursty({.bursts = 3, .jobs_per_burst = 5, .machines = 4,
-                         .horizon = 30, .burst_window = 5, .max_work = 6}, seed),
-        generate_laminar({.jobs = 12, .machines = 2, .depth = 4, .max_work = 6}, seed),
-        generate_agreeable({.jobs = 12, .machines = 3, .horizon = 25,
-                            .min_window = 2, .max_window = 8, .max_work = 6}, seed),
-        generate_periodic({.tasks = 4, .machines = 3, .hyperperiods = 1,
-                           .max_work = 5}, seed),
-    };
-    for (const Instance& instance : instances) {
-      auto result = optimal_schedule(instance);
-      auto report = check_schedule(instance, result.schedule);
-      ASSERT_TRUE(report.feasible)
-          << instance.summary() << " seed " << seed << ": "
-          << report.violations.front();
-    }
-  }
-}
-
 TEST(Optimal, EnergyMonotoneInMachineCount) {
   // More processors can only help (the m-machine schedule embeds in m+1).
   AlphaPower p(3.0);

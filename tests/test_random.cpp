@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 
 namespace mpss {
 namespace {
@@ -49,6 +52,27 @@ TEST(Random, UniformIntInclusiveRange) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(Random, UniformIntWideRangesDoNotOverflow) {
+  // hi - lo exceeds INT64_MAX on both ranges; uniform_int must neither overflow
+  // (a UBSan finding) nor leave [lo, hi].
+  Xoshiro256 rng(29);
+  const std::int64_t int64_min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t int64_max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t two_62 = std::int64_t{1} << 62;
+  for (auto [lo, hi] : {std::pair{int64_min, int64_max}, std::pair{-two_62, two_62}}) {
+    bool saw_negative = false, saw_positive = false;
+    for (int i = 0; i < 2000; ++i) {
+      std::int64_t v = rng.uniform_int(lo, hi);
+      EXPECT_GE(v, lo);
+      EXPECT_LE(v, hi);
+      saw_negative |= v < 0;
+      saw_positive |= v > 0;
+    }
+    EXPECT_TRUE(saw_negative) << lo << ".." << hi;
+    EXPECT_TRUE(saw_positive) << lo << ".." << hi;
+  }
 }
 
 TEST(Random, Uniform01InHalfOpenRange) {

@@ -184,7 +184,9 @@ TEST(Rational, SmallVsForcedLimbArithmeticDifferential) {
     EXPECT_EQ(a + b, fa + fb);
     EXPECT_EQ(a - b, fa - fb);
     EXPECT_EQ(a * b, fa * fb);
-    if (!b.is_zero()) EXPECT_EQ(a / b, fa / fb);
+    if (!b.is_zero()) {
+      EXPECT_EQ(a / b, fa / fb);
+    }
     EXPECT_EQ(a <=> b, fa <=> fb);
     EXPECT_EQ((a + b).hash(), (fa + fb).hash());
   }

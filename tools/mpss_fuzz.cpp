@@ -9,10 +9,11 @@
 //                  std::invalid_argument, nothing else. Includes a fixed
 //                  hostile corpus (1e300 / 1e309 / deep nesting / huge digit
 //                  strings) that once triggered undefined casts.
-//   --differential random instances through exact vs fast vs LP: fast must
-//                  agree with exact to 1e-6 relative, LP must never beat the
-//                  optimum by more than 1e-6, and returned schedules must
-//                  satisfy the instance (violations() == 0).
+//   --differential random instances through exact vs fast vs LP: the exact
+//                  schedule must pass certify_optimal, fast must agree with
+//                  exact to 1e-6 relative, LP must never beat the optimum by
+//                  more than 1e-6, and returned schedules must satisfy the
+//                  instance (violations() == 0).
 //
 // With no mode flags, all three run. Exit codes: 0 clean, 1 findings, 2 usage.
 //
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "mpss/core/certify.hpp"
 #include "mpss/core/instance_json.hpp"
 #include "mpss/net/framing.hpp"
 #include "mpss/net/protocol.hpp"
@@ -314,6 +316,10 @@ int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
     if (exact.violations(instance) != 0) {
       findings.report("differential", case_seed,
                       "exact schedule violates its instance");
+    }
+    if (auto failure = mpss::certify_optimal(instance, *exact.exact_schedule())) {
+      findings.report("differential", case_seed,
+                      "exact schedule fails the optimality certificate: " + *failure);
     }
 
     mpss::SolveOptions fast_options;

@@ -21,7 +21,7 @@
 //   * a per-phase table (rounds, removals, final speed) for the offline
 //     engines -- the paper's phase structure read straight off the trace,
 //   * a warm-start summary (resumed flow rounds and their BFS passes) when the
-//     offline engines ran incrementally,
+//     offline engines resumed any flow round,
 //   * an arena-memory summary (scratch capacity, fallback heap blocks, warm
 //     reuse cycles) when the engines emitted "<engine>.arena" events,
 //   * a simplex summary when LP pivots are present,
