@@ -77,8 +77,12 @@ int main(int argc, char** argv) {
       Instance instance = generate_uniform(
           {.jobs = n, .machines = m, .horizon = 2 * static_cast<std::int64_t>(n),
            .max_window = 12, .max_work = 9}, 7);
+      // The paper's plain loop (all-zero hint): the guided engine would count
+      // only one exact flow per phase.
+      const std::vector<std::size_t> plain(instance.size(), 0);
       OptimalResult result{Schedule(1), IntervalDecomposition({}), {}, 0, {}, {}};
-      double seconds = exp::timed_seconds([&] { result = optimal_schedule(instance); });
+      double seconds = exp::timed_seconds(
+          [&] { result = optimal_schedule_hinted(instance, plain); });
       bool feasible = check_schedule(instance, result.schedule).feasible;
       feasible_ok &= feasible;
       scale.row(n, m, result.phases.size(), result.flow_computations,

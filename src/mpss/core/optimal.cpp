@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "mpss/core/certify.hpp"
 #include "mpss/core/mcnaughton.hpp"
 #include "mpss/core/optimal_fast.hpp"
 #include "mpss/flow/dinic.hpp"
@@ -175,11 +177,13 @@ std::uint64_t retract_job_flow(RoundNetwork<T>& round, std::size_t bpos, T amoun
 /// `Policy` supplies the number type, the interval decomposition and activity
 /// bitmap, the acceptance tests and epsilon clamps, and the phase output; this
 /// loop owns the round network, warm starts, flow retraction, the Lemma 4
-/// victim search, and the stats and trace folding into `result`.
+/// victim search, and the stats and trace folding into `result`. `hint` is
+/// empty or one phase index per job (optimal_schedule_hinted). The caller owns
+/// the root span and the wall-time timer (run_under_solve_span).
 template <class Policy>
 void run_phases(const Instance& instance, const Policy& policy,
                 typename Policy::Result& result, const OptimalOptions& options,
-                obs::TraceSink* trace) {
+                std::span<const std::size_t> hint, obs::TraceSink* trace) {
   using T = typename Policy::Num;
   constexpr const Labels& labels = Policy::kLabels;
   const bool paper_rule =
@@ -194,13 +198,7 @@ void run_phases(const Instance& instance, const Policy& policy,
   // delta over this solve is the steady-state-allocation telemetry.
   ScopedArena scratch;
   const std::uint64_t arena_fallback_base = scratch->stats().fallback_allocs;
-  // Span opens before the timer starts and closes after the timer is read, so
-  // the solve span provably covers stats.wall_seconds (the --report coverage
-  // criterion).
-  obs::SpanScope solve_span(trace, labels.solve);
-  obs::ScopedTimer timer;
   result.stats.counters.set(labels.intervals, interval_count);
-  obs::emit(trace, obs::EventKind::kSolveStart, labels.solve, instance.size(), m);
 
   // Jobs with positive work; zero-work jobs are trivially complete.
   std::vector<std::size_t> remaining;
@@ -238,11 +236,20 @@ void run_phases(const Instance& instance, const Policy& policy,
     // ---- one phase: identify the next job set J_i and its speed s_i ----
     poll_cancellation(options.cancel);
     obs::SpanScope phase_span(trace, labels.phase);
+    const std::size_t phase_index = phases++;
     std::vector<std::size_t> candidates = remaining;  // invariant: J_i is a subset
+    if (!hint.empty()) {
+      // Start from the jobs hinted at <= max(i, lowest remaining hint): Lemmas
+      // 4-5 need only J_i inside this set, and the lowest remaining hint keeps
+      // it non-empty. A wrong hint breaks a loop invariant or the certificate.
+      std::size_t lowest = kNone;
+      for (std::size_t job : remaining) lowest = std::min(lowest, hint[job]);
+      const std::size_t limit = std::max(phase_index, lowest);
+      std::erase_if(candidates, [&](std::size_t job) { return hint[job] > limit; });
+    }
     std::ranges::fill(candidate_mask, 0);
     for (std::size_t job : candidates) ActiveBitmap::mask_set(candidate_mask, job);
     std::size_t rounds = 0;
-    const std::size_t phase_index = phases++;
     obs::emit(trace, obs::EventKind::kPhaseStart, labels.phase, phase_index,
               candidates.size());
 
@@ -432,9 +439,24 @@ void run_phases(const Instance& instance, const Policy& policy,
   if (!resume_bfs_hist.empty()) {
     result.stats.histograms[std::string(labels.resume_bfs)] = resume_bfs_hist;
   }
-  obs::emit(trace, obs::EventKind::kSolveEnd, labels.solve, phases,
-            result.flow_computations);
+}
+
+/// Runs `body`, which returns an engine result, under the engine's root solve
+/// span and wall-time timer, between its kSolveStart and kSolveEnd events. The
+/// span opens before the timer starts and closes after the timer is read, so it
+/// provably covers stats.wall_seconds (the --report coverage criterion).
+template <class Body>
+auto run_under_solve_span(const Labels& labels, const Instance& instance,
+                          obs::TraceSink* trace, Body body) {
+  obs::SpanScope solve_span(trace, labels.solve);
+  obs::ScopedTimer timer;
+  obs::emit(trace, obs::EventKind::kSolveStart, labels.solve, instance.size(),
+            instance.machines());
+  auto result = body();
+  obs::emit(trace, obs::EventKind::kSolveEnd, labels.solve, result.stats.phases,
+            result.stats.flow_computations);
   result.stats.wall_seconds = timer.elapsed_seconds();
+  return result;
 }
 
 /// Exact arithmetic over Q: the paper's saturation tests hold literally, and
@@ -491,6 +513,7 @@ struct ExactPolicy {
     check_loop<ExactPolicy>(
         !paper_rule || result.phases.empty() || speed < result.phases.back().speed,
         "phase speeds must strictly decrease");
+    for (std::size_t job : jobs) result.job_phase[job] = result.phases.size();
     result.phases.push_back(
         PhaseInfo{jobs, speed, {reserved.begin(), reserved.end()}, rounds});
   }
@@ -531,9 +554,16 @@ class FastPolicy {
     // Atomic intervals in double precision: exact points converted, then dedup'd.
     points_.reserve(instance.size() * 2);
     work_.reserve(instance.size());
-    for (const Job& job : instance.jobs()) {
-      points_.push_back(job.release.to_double());
-      points_.push_back(job.deadline.to_double());
+    for (std::size_t k = 0; k < instance.size(); ++k) {
+      const Job& job = instance.job(k);
+      const double release = job.release.to_double();
+      const double deadline = job.deadline.to_double();
+      if (!(release < deadline)) {
+        throw std::invalid_argument("optimal_schedule_fast: job " + std::to_string(k) +
+                                    "'s window is empty in double precision");
+      }
+      points_.push_back(release);
+      points_.push_back(deadline);
       work_.push_back(job.work.to_double());
     }
     std::sort(points_.begin(), points_.end());
@@ -586,9 +616,10 @@ class FastPolicy {
     return net.flow(edge) < net.capacity(edge) * (1.0 - epsilon_);
   }
 
-  void add_phase(FastOptimalResult& result, const std::vector<std::size_t>& /*jobs*/,
+  void add_phase(FastOptimalResult& result, const std::vector<std::size_t>& jobs,
                  double speed, std::size_t /*rounds*/,
                  std::span<const std::size_t> /*reserved*/) const {
+    for (std::size_t job : jobs) result.job_phase[job] = result.phase_speeds.size();
     result.phase_speeds.push_back(speed);
   }
   /// McNaughton's wrap in doubles over machines first .. first+count-1. The
@@ -635,6 +666,53 @@ class FastPolicy {
   std::vector<double> work_;
 };
 
+/// One run of the exact phase loop with `hint` (empty: the plain loop).
+OptimalResult run_exact(const Instance& instance, std::span<const std::size_t> hint,
+                        const OptimalOptions& options, obs::TraceSink* trace) {
+  const ExactPolicy policy{
+      .instance = instance,
+      .paper_rule = options.removal_policy == OptimalOptions::RemovalPolicy::kPaperRule};
+  OptimalResult result{Schedule(instance.machines()), policy.intervals, {}, 0, {},
+                       std::vector<std::size_t>(instance.size(), OptimalResult::kNoPhase)};
+  run_phases(instance, policy, result, options, hint, trace);
+  return result;
+}
+
+/// The plain loop in place of a guided run that could not be used.
+OptimalResult run_unguided(const Instance& instance, const OptimalOptions& options,
+                           obs::TraceSink* trace) {
+  OptimalResult result = run_exact(instance, {}, options, trace);
+  result.stats.counters.set("optimal.guide_fallbacks", 1);
+  return result;
+}
+
+/// The hinted run if the certificate proves it optimal, else the plain loop. A
+/// hint that misses a job of some J_i either trips a loop invariant
+/// (InternalError) or closes a wrong phase, which the certificate rejects.
+OptimalResult run_hinted(const Instance& instance, std::span<const std::size_t> hint,
+                         const OptimalOptions& options, obs::TraceSink* trace) {
+  try {
+    OptimalResult result = run_exact(instance, hint, options, trace);
+    bool certified = false;
+    {
+      obs::SpanScope certify_span(trace, "optimal.certify");
+      // Certify a copy: the check reads slices through Schedule::machine,
+      // which sorts them in place, while Schedule::energy sums them in stored
+      // order; the result keeps the order the plain loop returns, so energies
+      // match it to the last bit.
+      const Schedule copy = result.schedule;
+      certified = !certify_optimal(instance, copy).has_value();
+    }
+    if (certified) {
+      result.stats.counters.set("optimal.guided_phases", result.phases.size());
+      return result;
+    }
+  } catch (const InternalError&) {
+    // Falls through to the plain loop, which does not read the hint.
+  }
+  return run_unguided(instance, options, trace);
+}
+
 }  // namespace
 
 Q OptimalResult::speed_of_job(std::size_t job) const {
@@ -657,16 +735,34 @@ OptimalResult optimal_schedule(const Instance& instance) {
 
 OptimalResult optimal_schedule(const Instance& instance, const OptimalOptions& options,
                                obs::TraceSink* trace) {
-  const ExactPolicy policy{
-      .instance = instance,
-      .paper_rule = options.removal_policy == OptimalOptions::RemovalPolicy::kPaperRule};
-  OptimalResult result{Schedule(instance.machines()), policy.intervals, {}, 0, {}, {}};
-  run_phases(instance, policy, result, options, trace);
-  result.job_phase.assign(instance.size(), OptimalResult::kNoPhase);
-  for (std::size_t i = 0; i < result.phases.size(); ++i) {
-    for (std::size_t job : result.phases[i].jobs) result.job_phase[job] = i;
-  }
-  return result;
+  return run_under_solve_span(ExactPolicy::kLabels, instance, trace, [&] {
+    if (options.removal_policy != OptimalOptions::RemovalPolicy::kPaperRule) {
+      return run_exact(instance, {}, options, trace);
+    }
+    std::vector<std::size_t> hint;
+    try {
+      hint = optimal_schedule_fast(instance, {.cancel = options.cancel}, trace).job_phase;
+    } catch (const CancelledError&) {
+      throw;
+    } catch (const std::exception&) {
+      // The guide is an optimization: an instance it cannot take (say, a
+      // window that vanishes in doubles) gets the plain loop.
+      return run_unguided(instance, options, trace);
+    }
+    return run_hinted(instance, hint, options, trace);
+  });
+}
+
+OptimalResult optimal_schedule_hinted(const Instance& instance,
+                                      std::span<const std::size_t> hint,
+                                      const OptimalOptions& options,
+                                      obs::TraceSink* trace) {
+  check_arg(hint.empty() || hint.size() == instance.size(),
+            "optimal_schedule_hinted: the hint needs one phase index per job");
+  check_arg(options.removal_policy == OptimalOptions::RemovalPolicy::kPaperRule,
+            "optimal_schedule_hinted: the certificate needs the paper's removal rule");
+  return run_under_solve_span(ExactPolicy::kLabels, instance, trace,
+                              [&] { return run_hinted(instance, hint, options, trace); });
 }
 
 FastOptimalResult optimal_schedule_fast(const Instance& instance,
@@ -674,11 +770,15 @@ FastOptimalResult optimal_schedule_fast(const Instance& instance,
                                         obs::TraceSink* trace) {
   check_arg(options.epsilon > 0.0 && options.epsilon < 0.1,
             "optimal_schedule_fast: bad epsilon");
-  FastPolicy policy(instance, options.epsilon);
-  FastOptimalResult result;
-  result.schedule.machines.resize(instance.machines());
-  run_phases(instance, policy, result, OptimalOptions{.cancel = options.cancel}, trace);
-  return result;
+  const FastPolicy policy(instance, options.epsilon);
+  return run_under_solve_span(FastPolicy::kLabels, instance, trace, [&] {
+    FastOptimalResult result;
+    result.schedule.machines.resize(instance.machines());
+    result.job_phase.assign(instance.size(), FastOptimalResult::kNoPhase);
+    run_phases(instance, policy, result, OptimalOptions{.cancel = options.cancel}, {},
+               trace);
+    return result;
+  });
 }
 
 double optimal_energy(const Instance& instance, const PowerFunction& p) {

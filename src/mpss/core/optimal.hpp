@@ -21,6 +21,12 @@
 // speed, and resumes Dinic from the carried feasible flow (DESIGN.md
 // "Warm-start invariant").
 //
+// The exact engine is guided (DESIGN.md "Guided exact engine"): the
+// double-precision engine computes the phase partition first, each exact phase
+// starts from its hinted job set, and certify_optimal (core/certify.hpp) proves
+// the result before it returns; a result it cannot prove is recomputed by the
+// plain loop. So a phase usually closes in one exact max-flow.
+//
 // The flow on edge (u_k, v_j) is the processing time of job k inside interval I_j;
 // each interval's sequential working schedule is McNaughton-wrapped onto the
 // reserved processors. Phases claim the lowest-numbered free processors, so faster
@@ -35,6 +41,7 @@
 // P only enters when measuring the energy of the result.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mpss/core/intervals.hpp"
@@ -74,8 +81,8 @@ struct OptimalResult {
   /// `stats.flow_computations` mirrors the field above; `stats.phases` equals
   /// `phases.size()`.
   obs::SolveStats stats;
-  /// Index into `phases` per job (kNoPhase for zero-work jobs), filled once by
-  /// optimal_schedule() so speed_of_job is O(1) instead of a phase scan.
+  /// Index into `phases` per job (kNoPhase for zero-work jobs), filled as the
+  /// phases close so speed_of_job is O(1) instead of a phase scan.
   std::vector<std::size_t> job_phase;
 
   /// Speed at which `job` is processed. Returns 0 for zero-work jobs (which
@@ -113,19 +120,44 @@ struct OptimalOptions {
 /// feasible. Runs in polynomial time (O(n) phases, each O(n) max-flow rounds).
 [[nodiscard]] OptimalResult optimal_schedule(const Instance& instance);
 
-/// As above with ablation/cancellation options; with kRandomCandidate the
-/// result is feasible but may be suboptimal (and phase speeds may not
-/// decrease). May throw InternalError if the ablated removals empty a
-/// candidate set, and CancelledError when `options.cancel` fires.
+/// As above with ablation/cancellation options. Under the paper's removal rule
+/// it runs optimal_schedule_fast as a guide (same cancel token, same trace
+/// sink) and returns optimal_schedule_hinted for the guide's job_phase; a guide
+/// that throws anything but CancelledError counts one `optimal.guide_fallbacks`
+/// and the plain loop runs instead. With kRandomCandidate it runs the plain,
+/// uncertified loop: the result is feasible but may be suboptimal (and phase
+/// speeds may not decrease), and InternalError is thrown if the ablated
+/// removals empty a candidate set. Throws CancelledError when `options.cancel`
+/// fires.
 ///
 /// `trace` records phase boundaries, per-round flow values, and candidate
-/// removals as obs events; null falls back to the process-wide sink in
+/// removals as obs events, the guide's under "optimal_fast.*" labels, all
+/// inside one "optimal.solve" span; null falls back to the process-wide sink in
 /// obs::Registry (itself null by default -> no emission). The solve() facade
 /// is the preferred way to drive tracing (it owns sink resolution; see
 /// SolveOptions::trace) -- this parameter serves direct engine callers.
 [[nodiscard]] OptimalResult optimal_schedule(const Instance& instance,
                                              const OptimalOptions& options,
                                              obs::TraceSink* trace = nullptr);
+
+/// The phase loop with a per-job phase hint, proved by certify_optimal. Phase i
+/// (0-based) starts from the remaining jobs hinted at <= max(i, lowest
+/// remaining hint) instead of from all of them, so a hint equal to the optimal
+/// partition closes every phase in one max-flow; an empty or all-zero hint is
+/// the plain loop. The result returns only once the certificate accepts it
+/// (stats counter `optimal.guided_phases` = its phase count). When the hinted
+/// run throws InternalError or fails the certificate, the plain loop runs
+/// instead and `optimal.guide_fallbacks` is 1; so any hint yields the optimum,
+/// and a certified result is bit-identical to the plain loop's (DESIGN.md
+/// "Guided exact engine").
+///
+/// `hint` is empty or has one entry per job, and `options` uses the paper's
+/// removal rule; std::invalid_argument otherwise. Throws CancelledError when
+/// `options.cancel` fires. `trace` as for optimal_schedule.
+[[nodiscard]] OptimalResult optimal_schedule_hinted(const Instance& instance,
+                                                    std::span<const std::size_t> hint,
+                                                    const OptimalOptions& options = {},
+                                                    obs::TraceSink* trace = nullptr);
 
 /// Convenience: the optimal energy under power function `p` (computes the schedule
 /// and measures it).

@@ -42,8 +42,14 @@ struct FastSchedule {
 };
 
 struct FastOptimalResult {
+  /// job_phase value for jobs that belong to no phase (zero work).
+  static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
+
   FastSchedule schedule;
   std::vector<double> phase_speeds;  // descending (within tolerance)
+  /// Index into `phase_speeds` per job (kNoPhase for zero-work jobs): the
+  /// partition the exact engine takes as its phase hint.
+  std::vector<std::size_t> job_phase;
   std::size_t flow_computations = 0;
   /// Telemetry mirroring the exact engine's (phases/rounds/removals, flow-kernel
   /// work, wall time) so bench_offline can compare the two paths event-for-event.
@@ -73,7 +79,8 @@ struct FastOptimalOptions {
 /// misclassifying phases on near-degenerate instances -- experiment E13
 /// quantifies this). `trace` records the same event stream as the exact engine
 /// under "optimal_fast.*" labels; null falls back to the process-wide sink in
-/// obs::Registry.
+/// obs::Registry. Throws std::invalid_argument when a job's window converts to
+/// an empty double interval (release and deadline round to the same double).
 [[nodiscard]] FastOptimalResult optimal_schedule_fast(
     const Instance& instance, const FastOptimalOptions& options = {},
     obs::TraceSink* trace = nullptr);

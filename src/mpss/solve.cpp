@@ -185,10 +185,12 @@ SolveResult solve(const Instance& instance, const SolveOptions& options) {
     if (promotions != 0) result.stats.counters.add("bigint.promotions", promotions);
     if (norm_small != 0) result.stats.counters.add("rational.norm_small", norm_small);
     publish_numeric_counters();
-    // Publish the warm-start telemetry of the offline engines process-wide,
-    // mirroring the numeric counters above (process dashboards read Registry).
+    // Publish the warm-start and guide telemetry of the offline engines
+    // process-wide, mirroring the numeric counters above (process dashboards
+    // and /metrics read Registry).
     for (const auto& [name, value] : result.stats.counters.items()) {
-      if (value != 0 && name.starts_with("flow.")) {
+      if (value != 0 && (name.starts_with("flow.") || name == "optimal.guided_phases" ||
+                         name == "optimal.guide_fallbacks")) {
         obs::Registry::global().add(name, value);
       }
     }

@@ -11,11 +11,10 @@
 #include <optional>
 #include <string>
 
+#include "corpus.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/online/avr.hpp"
 #include "mpss/online/oa.hpp"
-#include "mpss/workload/generators.hpp"
-#include "mpss/workload/transform.hpp"
 
 namespace mpss {
 namespace {
@@ -92,44 +91,9 @@ TEST(Certify, ZeroWorkJobsAndEmptyInstancesCertify) {
   expect_certified(zero, optimal_schedule(zero).schedule, "zero-work job");
 }
 
-/// The positive control's instance for `seed`: six families, sizes
-/// kept small for the sanitized build, every third one rescaled so times and
-/// works are non-integral and share no denominator.
-Instance generated_instance(std::uint64_t seed) {
-  const std::size_t jobs = 6 + seed % 11;
-  const std::size_t machines = 1 + seed % 4;
-  Instance instance = [&] {
-    switch (seed / 3 % 6) {
-      case 0:
-        return generate_uniform({.jobs = jobs, .machines = machines, .horizon = 30,
-                                 .max_window = 10, .max_work = 9},
-                                seed);
-      case 1:
-        return generate_bursty({.bursts = 1 + seed % 3, .jobs_per_burst = 2 + jobs / 3,
-                                .machines = machines, .horizon = 30},
-                               seed);
-      case 2:
-        return generate_laminar(
-            {.jobs = jobs, .machines = machines, .depth = 4, .max_work = 12}, seed);
-      case 3:
-        return generate_agreeable({.jobs = jobs, .machines = machines, .horizon = 25},
-                                  seed);
-      case 4:
-        return generate_periodic({.tasks = 2 + seed % 3, .machines = machines}, seed);
-      default:
-        return generate_heavy_tail(
-            {.jobs = jobs, .machines = machines, .horizon = 40, .max_work = 32}, seed);
-    }
-  }();
-  if (seed % 3 == 0) {
-    instance = scale_work(scale_time(instance, Q(1009, 997)), Q(101, 103));
-  }
-  return instance;
-}
-
 TEST(Certify, EveryExactEngineScheduleCertifies) {
-  for (std::uint64_t seed = 1; seed <= 204; ++seed) {
-    Instance instance = generated_instance(seed);
+  for (std::uint64_t seed = 1; seed <= corpus::kGeneratedCount; ++seed) {
+    Instance instance = corpus::generated(seed);
     expect_certified(instance, optimal_schedule(instance).schedule,
                      "seed " + std::to_string(seed));
   }
@@ -143,7 +107,7 @@ TEST(Certify, NoOnlineScheduleAboveTheOptimumCertifies) {
   AlphaPower cube(3.0);
   std::size_t above_optimum = 0;
   for (std::uint64_t seed = 1; seed <= 144; ++seed) {
-    Instance instance = generated_instance(seed);
+    Instance instance = corpus::generated(seed);
     if (instance.size() > 10) continue;
     const double optimum = optimal_schedule(instance).schedule.energy(cube);
     auto check = [&](const Schedule& schedule, const char* engine) {

@@ -4,7 +4,6 @@
 // these tests with a precise diff, and every schedule must pass the optimality
 // certificate (core/certify.hpp), which checks it without the engine's logic.
 
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -12,32 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/certify.hpp"
 #include "mpss/core/instance_json.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/util/csv.hpp"
 #include "mpss/workload/traces.hpp"
 
-#ifndef MPSS_DATA_DIR
-#error "MPSS_DATA_DIR must point at data/corpus"
-#endif
-
 namespace mpss {
 namespace {
-
-std::vector<std::string> corpus_names() {
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(MPSS_DATA_DIR)) {
-    std::string file = entry.path().filename().string();
-    const std::string suffix = ".instance.csv";
-    if (file.size() > suffix.size() &&
-        file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      names.push_back(file.substr(0, file.size() - suffix.size()));
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -50,9 +32,8 @@ std::string read_file(const std::string& path) {
 class Corpus : public testing::TestWithParam<std::string> {};
 
 TEST_P(Corpus, OptimalSpeedsMatchGoldenExactly) {
-  std::string base = std::string(MPSS_DATA_DIR) + "/" + GetParam();
-  Instance instance = load_instance(base + ".instance.csv");
-  auto golden_rows = parse_csv(read_file(base + ".golden.csv"));
+  Instance instance = corpus::load(GetParam());
+  auto golden_rows = parse_csv(read_file(corpus::path(GetParam(), ".golden.csv")));
   ASSERT_GE(golden_rows.size(), 1u);
   ASSERT_EQ(golden_rows[0], (std::vector<std::string>{"job", "speed"}));
   ASSERT_EQ(golden_rows.size(), instance.size() + 1);
@@ -76,8 +57,7 @@ TEST_P(Corpus, OptimalSpeedsMatchGoldenExactly) {
 // replaying the whole corpus with the limb path forced must reproduce the
 // golden per-job speeds bit-for-bit (same canonical num/den strings).
 TEST_P(Corpus, ForcedLimbPathIsBitIdenticalToTheSmallPath) {
-  std::string base = std::string(MPSS_DATA_DIR) + "/" + GetParam();
-  Instance instance = load_instance(base + ".instance.csv");
+  Instance instance = corpus::load(GetParam());
 
   auto small = optimal_schedule(instance);
   BigInt::set_test_force_big(true);
@@ -99,18 +79,16 @@ TEST_P(Corpus, ForcedLimbPathIsBitIdenticalToTheSmallPath) {
 // canonical-JSON sibling (the protocol test vectors). The two must decode to
 // the same jobs/machines, and the JSON must be in canonical form.
 TEST_P(Corpus, JsonSiblingMatchesTheCsvInstance) {
-  std::string base = std::string(MPSS_DATA_DIR) + "/" + GetParam();
-  Instance from_csv = load_instance(base + ".instance.csv");
-  Instance from_json = load_instance(base + ".instance.json");
+  const std::string json_path = corpus::path(GetParam(), ".instance.json");
+  Instance from_csv = corpus::load(GetParam());
+  Instance from_json = load_instance(json_path);
   EXPECT_EQ(from_csv, from_json) << GetParam();
-  EXPECT_EQ(read_file(base + ".instance.json"),
-            instance_to_json(from_json) + "\n")
-      << GetParam();
+  EXPECT_EQ(read_file(json_path), instance_to_json(from_json) + "\n") << GetParam();
 }
 
-TEST(CorpusMeta, CorpusIsNonEmpty) { EXPECT_GE(corpus_names().size(), 8u); }
+TEST(CorpusMeta, CorpusIsNonEmpty) { EXPECT_GE(corpus::names().size(), 8u); }
 
-INSTANTIATE_TEST_SUITE_P(GoldenInstances, Corpus, testing::ValuesIn(corpus_names()),
+INSTANTIATE_TEST_SUITE_P(GoldenInstances, Corpus, testing::ValuesIn(corpus::names()),
                          [](const testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

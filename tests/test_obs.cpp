@@ -6,23 +6,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/obs/counters.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/stats.hpp"
 #include "mpss/obs/trace.hpp"
 #include "mpss/util/thread_pool.hpp"
-#include "mpss/workload/traces.hpp"
-
-#ifndef MPSS_DATA_DIR
-#error "MPSS_DATA_DIR must point at data/corpus"
-#endif
 
 namespace mpss::obs {
 namespace {
@@ -324,69 +319,71 @@ TEST(RegistryCounters, ConcurrentAddsAreLossless) {
 // --- Telemetry differential: the trace must reproduce the paper's phase/round
 // structure exactly as OptimalResult reports it, on every corpus instance. ---
 
-std::vector<std::string> corpus_paths() {
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(MPSS_DATA_DIR)) {
-    std::string path = entry.path().string();
-    const std::string suffix = ".instance.csv";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      paths.push_back(path);
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
 TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
-  auto paths = corpus_paths();
-  ASSERT_GE(paths.size(), 8u);
-  for (const std::string& path : paths) {
-    SCOPED_TRACE(path);
-    Instance instance = load_instance(path);
-    MemorySink sink;
-    OptimalResult result = optimal_schedule(instance, OptimalOptions{}, &sink);
+  auto names = corpus::names();
+  ASSERT_GE(names.size(), 8u);
+  // The guided solve closes each phase in one round; the all-zero hint runs
+  // the plain loop, whose removal rounds the trace must show too.
+  for (const std::string& name : names) {
+    for (const bool guided : {true, false}) {
+      SCOPED_TRACE(name + (guided ? " guided" : " all-zero hint"));
+      Instance instance = corpus::load(name);
+      MemorySink sink;
+      OptimalResult result =
+          guided ? optimal_schedule(instance, OptimalOptions{}, &sink)
+                 : optimal_schedule_hinted(instance,
+                                           std::vector<std::size_t>(instance.size(), 0),
+                                           OptimalOptions{}, &sink);
 
-    // SolveStats mirrors the result's own structural fields.
-    EXPECT_EQ(result.stats.phases, result.phases.size());
-    EXPECT_EQ(result.stats.flow_computations, result.flow_computations);
-    EXPECT_EQ(result.stats.candidate_removals,
-              result.flow_computations - result.phases.size());
-    EXPECT_GT(result.stats.wall_seconds, 0.0);
+      // SolveStats mirrors the result's own structural fields.
+      EXPECT_EQ(result.stats.phases, result.phases.size());
+      EXPECT_EQ(result.stats.flow_computations, result.flow_computations);
+      EXPECT_EQ(result.stats.candidate_removals,
+                result.flow_computations - result.phases.size());
+      EXPECT_GT(result.stats.wall_seconds, 0.0);
 
-    // flow_computations == sum of per-phase rounds, each phase >= 1 round.
-    std::size_t total_rounds = 0;
-    for (const PhaseInfo& phase : result.phases) {
-      EXPECT_GE(phase.rounds, 1u);
-      total_rounds += phase.rounds;
-    }
-    EXPECT_EQ(total_rounds, result.flow_computations);
-
-    // The trace tells the same story: one kFlowRound per feasibility test
-    // (grouped by phase via the `a` payload), one kPhaseEnd per phase, and a
-    // kCandidateRemoved for every round that did not close a phase.
-    auto events = sink.events();
-    EXPECT_EQ(sink.count(EventKind::kSolveStart), 1u);
-    EXPECT_EQ(sink.count(EventKind::kSolveEnd), 1u);
-    EXPECT_EQ(sink.count(EventKind::kPhaseEnd), result.phases.size());
-    EXPECT_EQ(sink.count(EventKind::kFlowRound), result.flow_computations);
-    EXPECT_EQ(sink.count(EventKind::kCandidateRemoved),
-              result.stats.candidate_removals);
-    for (std::size_t i = 0; i < result.phases.size(); ++i) {
-      std::size_t rounds_in_trace = 0;
-      for (const TraceEvent& event : events) {
-        if (event.kind == EventKind::kFlowRound && event.label == "optimal.round" &&
-            event.a == i) {
-          ++rounds_in_trace;
-        }
+      // flow_computations == sum of per-phase rounds, each phase >= 1 round.
+      std::size_t total_rounds = 0;
+      for (const PhaseInfo& phase : result.phases) {
+        EXPECT_GE(phase.rounds, 1u);
+        total_rounds += phase.rounds;
       }
-      EXPECT_EQ(rounds_in_trace, result.phases[i].rounds) << "phase " << i;
+      EXPECT_EQ(total_rounds, result.flow_computations);
+
+      // The trace tells the same story: one kFlowRound per feasibility test
+      // (grouped by phase via the `a` payload), one kPhaseEnd per phase, and a
+      // kCandidateRemoved for every round that did not close a phase. Only the
+      // exact engine's "optimal.*" events count: the fast guide it runs first
+      // emits its own under "optimal_fast.*".
+      auto events = sink.events();
+      auto exact_count = [&events](EventKind kind) {
+        return std::count_if(events.begin(), events.end(), [kind](const TraceEvent& e) {
+          return e.kind == kind && e.label.starts_with("optimal.");
+        });
+      };
+      EXPECT_EQ(exact_count(EventKind::kSolveStart), 1);
+      EXPECT_EQ(exact_count(EventKind::kSolveEnd), 1);
+      EXPECT_EQ(exact_count(EventKind::kPhaseEnd), std::ssize(result.phases));
+      EXPECT_EQ(exact_count(EventKind::kFlowRound),
+                static_cast<std::ptrdiff_t>(result.flow_computations));
+      EXPECT_EQ(exact_count(EventKind::kCandidateRemoved),
+                static_cast<std::ptrdiff_t>(result.stats.candidate_removals));
+      for (std::size_t i = 0; i < result.phases.size(); ++i) {
+        std::size_t rounds_in_trace = 0;
+        for (const TraceEvent& event : events) {
+          if (event.kind == EventKind::kFlowRound && event.label == "optimal.round" &&
+              event.a == i) {
+            ++rounds_in_trace;
+          }
+        }
+        EXPECT_EQ(rounds_in_trace, result.phases[i].rounds) << "phase " << i;
+      }
     }
   }
 }
 
 TEST(TelemetryDifferential, StatsSchemaDocumentedCountersArePresent) {
-  Instance instance = load_instance(corpus_paths().front());
+  Instance instance = corpus::load(corpus::names().front());
   OptimalResult result = optimal_schedule(instance);
   EXPECT_GT(result.stats.counters.value("optimal.intervals"), 0u);
   EXPECT_GT(result.stats.flow_bfs_rounds, 0u);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/workload/generators.hpp"
 #include "mpss/workload/transform.hpp"
@@ -45,6 +46,8 @@ TEST(OptimalFast, MatchesExactPhaseStructure) {
                   1e-9 * (1.0 + exact.phases[i].speed.to_double()))
           << seed << " phase " << i;
     }
+    // The partition the exact engine takes as its phase hint.
+    EXPECT_EQ(fast.job_phase, exact.job_phase) << seed;
   }
 }
 
@@ -73,6 +76,7 @@ TEST(OptimalFast, EmptyAndZeroWork) {
   auto fast = optimal_schedule_fast(zero);
   EXPECT_EQ(fast.schedule.slice_count(), 0u);
   EXPECT_EQ(count_fast_violations(zero, fast.schedule), 0u);
+  EXPECT_EQ(fast.job_phase, std::vector<std::size_t>{FastOptimalResult::kNoPhase});
 }
 
 TEST(OptimalFast, RejectsBadEpsilon) {
@@ -81,6 +85,17 @@ TEST(OptimalFast, RejectsBadEpsilon) {
                std::invalid_argument);
   EXPECT_THROW((void)optimal_schedule_fast(instance, FastOptimalOptions{.epsilon = 0.5}),
                std::invalid_argument);
+}
+
+TEST(OptimalFast, RejectsAWindowThatVanishesInDoubles) {
+  // [1, 1 + 1e-20) converts to [1, 1): a typed input error, not an internal one.
+  try {
+    (void)optimal_schedule_fast(corpus::vanishing_window());
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "optimal_schedule_fast: job 0's window is empty in double precision");
+  }
 }
 
 TEST(OptimalFast, TinyEpsilonStaysOnReservedMachines) {

@@ -1,28 +1,27 @@
 // Tests for the warm-started flow rounds (DESIGN S42): both engines build one
 // flow network per phase and resume it in every later round, and the exact
-// engine's warm-started schedules pass the optimality certificate
-// (core/certify.hpp) on the golden corpus and a removal-heavy instance. Also
-// pins both engines' warm-start and arena telemetry counters (they share one
-// phase loop).
+// engine's schedules pass the optimality certificate (core/certify.hpp) on the
+// golden corpus and a removal-heavy instance. Also pins both engines'
+// warm-start and arena telemetry counters (they share one phase loop).
+//
+// A guided exact solve starts each phase from its own job set, so it closes
+// every phase in one flow and never resumes. The exact engine's warm starts
+// are therefore exercised through optimal_schedule_hinted with an all-zero
+// hint, which is the plain phase loop.
 
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/certify.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/core/optimal_fast.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/workload/generators.hpp"
-#include "mpss/workload/traces.hpp"
-
-#ifndef MPSS_DATA_DIR
-#error "MPSS_DATA_DIR must point at data/corpus"
-#endif
 
 namespace mpss {
 namespace {
@@ -43,34 +42,24 @@ void expect_every_later_round_resumed(const obs::SolveStats& stats,
       << tag;
 }
 
-std::vector<std::string> corpus_names() {
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(MPSS_DATA_DIR)) {
-    std::string file = entry.path().filename().string();
-    const std::string suffix = ".instance.csv";
-    if (file.size() > suffix.size() &&
-        file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      names.push_back(file.substr(0, file.size() - suffix.size()));
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+/// The exact engine's plain phase loop: the all-zero hint.
+OptimalResult unguided_schedule(const Instance& instance) {
+  return optimal_schedule_hinted(instance, std::vector<std::size_t>(instance.size(), 0));
 }
 
 class IncrementalCorpus : public testing::TestWithParam<std::string> {};
 
 TEST_P(IncrementalCorpus, EveryLaterRoundResumesAndTheScheduleCertifies) {
-  Instance instance =
-      load_instance(std::string(MPSS_DATA_DIR) + "/" + GetParam() + ".instance.csv");
-  auto exact = optimal_schedule(instance);
-  expect_certified(instance, exact.schedule, GetParam());
-  expect_every_later_round_resumed(exact.stats, GetParam() + " exact");
+  Instance instance = corpus::load(GetParam());
+  auto unguided = unguided_schedule(instance);
+  expect_certified(instance, unguided.schedule, GetParam());
+  expect_every_later_round_resumed(unguided.stats, GetParam() + " exact");
   expect_every_later_round_resumed(optimal_schedule_fast(instance).stats,
                                    GetParam() + " fast");
 }
 
 INSTANTIATE_TEST_SUITE_P(GoldenInstances, IncrementalCorpus,
-                         testing::ValuesIn(corpus_names()),
+                         testing::ValuesIn(corpus::names()),
                          [](const testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
@@ -94,7 +83,7 @@ void expect_warm_start_counters(const obs::SolveStats& stats, const char* engine
 
 TEST(OptimalIncremental, WarmStartCountersSurfaceThroughStats) {
   Instance instance = removal_heavy_instance();
-  auto exact = optimal_schedule(instance);
+  auto exact = unguided_schedule(instance);
   ASSERT_GT(exact.flow_computations, exact.phases.size())
       << "precondition: instance must have removal rounds";
   expect_certified(instance, exact.schedule, "removal-heavy");
@@ -103,23 +92,16 @@ TEST(OptimalIncremental, WarmStartCountersSurfaceThroughStats) {
 }
 
 TEST(OptimalIncremental, SolveFacadePublishesFlowCountersToRegistry) {
+  // The fast engine: its phases keep their removal rounds under solve().
   Instance instance = removal_heavy_instance();
   auto before = obs::Registry::global().snapshot().value("flow.warm_starts");
   SolveOptions options;
-  options.engine = Engine::kExact;
+  options.engine = Engine::kFast;
   auto result = solve(instance, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.stats.counters.value("flow.warm_starts"), 0u);
   auto after = obs::Registry::global().snapshot().value("flow.warm_starts");
   EXPECT_GT(after, before);
-}
-
-TEST(OptimalIncremental, ArenaCountersSurfaceThroughStats) {
-  Instance instance = removal_heavy_instance();
-  auto result = optimal_schedule(instance);
-  // The engine routed its scratch through the pooled arena and reported how
-  // much it carved out of it.
-  EXPECT_GT(result.stats.counters.value("mem.arena_bytes"), 0u);
 }
 
 TEST(OptimalIncremental, SteadyStateWarmRoundsAreAllocationFree) {
@@ -140,13 +122,13 @@ TEST(OptimalIncremental, SteadyStateWarmRoundsAreAllocationFree) {
     }
   };
   expect_steady_state([&] { return optimal_schedule(instance); }, "exact");
+  expect_steady_state([&] { return unguided_schedule(instance); }, "unguided exact");
   expect_steady_state([&] { return optimal_schedule_fast(instance); }, "fast");
 }
 
 TEST(OptimalIncremental, SteadyStateHoldsOnCorpusInstances) {
-  for (const std::string& name : corpus_names()) {
-    Instance instance =
-        load_instance(std::string(MPSS_DATA_DIR) + "/" + name + ".instance.csv");
+  for (const std::string& name : corpus::names()) {
+    Instance instance = corpus::load(name);
     (void)optimal_schedule(instance);  // warm the pool for this shape
     auto warm = optimal_schedule(instance);
     EXPECT_EQ(warm.stats.counters.value("mem.fallback_allocs"), 0u)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/core/optimal_fast.hpp"
 #include "mpss/lp/lp_baseline.hpp"
@@ -12,6 +13,7 @@
 #include "mpss/online/avr.hpp"
 #include "mpss/online/oa.hpp"
 #include "mpss/solve.hpp"
+#include "mpss/util/cancel.hpp"
 #include "mpss/workload/generators.hpp"
 
 namespace mpss {
@@ -162,11 +164,74 @@ TEST(Solve, FastEngineReturnsFastScheduleMatchingExactStructure) {
   EXPECT_GE(fast.stats.phases, 1u);
   EXPECT_GT(fast.stats.wall_seconds, 0.0);
 
-  // Same algorithm over doubles: phase/round structure agrees with exact here.
+  // Same algorithm over doubles: the phase partition agrees with exact here.
+  // (Flow counts differ: the exact engine starts each phase from the fast
+  // engine's partition and closes it in one flow.)
   SolveResult exact = run(instance, Engine::kExact);
   EXPECT_EQ(fast.stats.phases, exact.stats.phases);
-  EXPECT_EQ(fast.stats.flow_computations, exact.stats.flow_computations);
+  EXPECT_EQ(optimal_schedule_fast(instance).job_phase, optimal_schedule(instance).job_phase);
   EXPECT_NEAR(fast.energy, exact.energy, 1e-6 * exact.energy);
+}
+
+TEST(Solve, FastEngineReportsAVanishingWindowAsAnInvalidInstance) {
+  SolveResult result = run(corpus::vanishing_window(), Engine::kFast);
+  EXPECT_EQ(result.status, SolveStatus::kInvalidInstance);
+  EXPECT_NE(result.error_detail.find("window is empty in double precision"),
+            std::string::npos)
+      << result.error_detail;
+  // The exact engine takes it: its guide falls back to the plain loop.
+  EXPECT_TRUE(run(corpus::vanishing_window(), Engine::kExact).ok());
+}
+
+TEST(Solve, GuideCountersReachTheRegistry) {
+  auto registry = [](const char* name) {
+    return obs::Registry::global().snapshot().value(name);
+  };
+  const std::uint64_t guided_before = registry("optimal.guided_phases");
+  const std::uint64_t fallbacks_before = registry("optimal.guide_fallbacks");
+  SolveResult guided = run(test_instance(), Engine::kExact);
+  SolveResult fallback = run(corpus::vanishing_window(), Engine::kExact);
+  ASSERT_TRUE(guided.ok());
+  ASSERT_TRUE(fallback.ok());
+  EXPECT_EQ(guided.stats.counters.value("optimal.guided_phases"), guided.stats.phases);
+  EXPECT_EQ(fallback.stats.counters.value("optimal.guide_fallbacks"), 1u);
+  EXPECT_EQ(registry("optimal.guided_phases") - guided_before, guided.stats.phases);
+  EXPECT_EQ(registry("optimal.guide_fallbacks") - fallbacks_before, 1u);
+}
+
+/// Lets `token`'s deadline pass exactly while the exact engine's fast guide
+/// runs: the deadline is set to "now" when the guide's solve starts and lifted
+/// again when the guide's solve span closes. An engine that turned the guide's
+/// CancelledError into a fallback would then finish the plain loop and return
+/// ok. The token is touched on the solving thread only.
+class DeadlineDuringGuide final : public obs::TraceSink {
+ public:
+  explicit DeadlineDuringGuide(CancelToken& token) : token_(token) {}
+  void record(const obs::TraceEvent& event) override {
+    if (event.label != "optimal_fast.solve") return;
+    if (event.kind == obs::EventKind::kSolveStart) {
+      ++guide_starts;
+      token_.set_deadline(CancelToken::Clock::now());
+    } else if (event.kind == obs::EventKind::kSpanEnd) {
+      token_.set_deadline(CancelToken::Clock::time_point::max());
+    }
+  }
+  int guide_starts = 0;
+
+ private:
+  CancelToken& token_;
+};
+
+TEST(Solve, DeadlineDuringTheGuideIsDeadlineExceededNotAFallback) {
+  CancelToken token;
+  DeadlineDuringGuide sink(token);
+  SolveOptions options;
+  options.engine = Engine::kExact;
+  options.cancel = &token;
+  options.trace = &sink;
+  SolveResult result = solve(test_instance(), options);
+  EXPECT_EQ(sink.guide_starts, 1);
+  EXPECT_EQ(result.status, SolveStatus::kDeadlineExceeded) << result.error_detail;
 }
 
 TEST(Solve, OaEngineAggregatesInnerSolves) {

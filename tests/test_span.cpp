@@ -6,24 +6,19 @@
 // engines.
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "corpus.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/core/optimal_fast.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/span.hpp"
 #include "mpss/obs/trace.hpp"
 #include "mpss/util/thread_pool.hpp"
-#include "mpss/workload/traces.hpp"
-
-#ifndef MPSS_DATA_DIR
-#error "MPSS_DATA_DIR must point at data/corpus"
-#endif
 
 namespace mpss::obs {
 namespace {
@@ -227,20 +222,6 @@ TEST_F(SpanTest, ThreadIndexIsStablePerThread) {
 // the span opens before the ScopedTimer and closes after it is read, so this
 // holds deterministically -- the test guards the declaration order). ---
 
-std::vector<std::string> corpus_paths() {
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(MPSS_DATA_DIR)) {
-    std::string path = entry.path().string();
-    const std::string suffix = ".instance.csv";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      paths.push_back(path);
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
 /// Runs one offline engine on `instance` with `sink` attached and returns its
 /// reported wall time; `prefix` is the engine's span label prefix.
 double solve_traced(const std::string& prefix, const Instance& instance,
@@ -254,12 +235,12 @@ double solve_traced(const std::string& prefix, const Instance& instance,
 const std::vector<std::string> kEnginePrefixes = {"optimal", "optimal_fast"};
 
 TEST_F(SpanTest, RootSolveSpanCoversWallTimeOnCorpus) {
-  auto paths = corpus_paths();
-  ASSERT_GE(paths.size(), 1u);
+  auto names = corpus::names();
+  ASSERT_GE(names.size(), 1u);
   for (const std::string& prefix : kEnginePrefixes) {
-    for (const std::string& path : paths) {
-      SCOPED_TRACE(prefix + " " + path);
-      Instance instance = load_instance(path);
+    for (const std::string& name : names) {
+      SCOPED_TRACE(prefix + " " + name);
+      Instance instance = corpus::load(name);
       MemorySink sink;
       const double wall_seconds = solve_traced(prefix, instance, sink);
 
@@ -275,7 +256,7 @@ TEST_F(SpanTest, RootSolveSpanCoversWallTimeOnCorpus) {
 }
 
 TEST_F(SpanTest, SolveTraceNestsRoundsUnderPhasesUnderSolve) {
-  Instance instance = load_instance(corpus_paths().front());
+  Instance instance = corpus::load(corpus::names().front());
   for (const std::string& prefix : kEnginePrefixes) {
     SCOPED_TRACE(prefix);
     MemorySink sink;

@@ -10,10 +10,12 @@
 //                  hostile corpus (1e300 / 1e309 / deep nesting / huge digit
 //                  strings) that once triggered undefined casts.
 //   --differential random instances through exact vs fast vs LP: the exact
-//                  schedule must pass certify_optimal, fast must agree with
-//                  exact to 1e-6 relative, LP must never beat the optimum by
-//                  more than 1e-6, and returned schedules must satisfy the
-//                  instance (violations() == 0).
+//                  schedule must pass certify_optimal and be bit-identical to
+//                  the plain phase loop's (optimal_schedule_hinted with an
+//                  all-zero hint), fast must agree with exact to 1e-6
+//                  relative, LP must never beat the optimum by more than 1e-6,
+//                  and returned schedules must satisfy the instance
+//                  (violations() == 0). Prints the guide fallback count.
 //
 // With no mode flags, all three run. Exit codes: 0 clean, 1 findings, 2 usage.
 //
@@ -22,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -33,6 +36,7 @@
 
 #include "mpss/core/certify.hpp"
 #include "mpss/core/instance_json.hpp"
+#include "mpss/core/optimal.hpp"
 #include "mpss/net/framing.hpp"
 #include "mpss/net/protocol.hpp"
 #include "mpss/solve.hpp"
@@ -264,9 +268,19 @@ int run_instances(std::int64_t runs, std::uint64_t seed, Findings& findings,
   return findings.count;
 }
 
+/// Whether two exact schedules hold the same slices on every machine.
+bool same_schedule(const mpss::Schedule& a, const mpss::Schedule& b) {
+  if (a.machines() != b.machines()) return false;
+  for (std::size_t machine = 0; machine < a.machines(); ++machine) {
+    if (!std::ranges::equal(a.machine(machine), b.machine(machine))) return false;
+  }
+  return true;
+}
+
 int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
                      const WallCap& cap) {
   std::int64_t done = 0;
+  std::uint64_t guide_fallbacks = 0;
   for (; done < runs && !cap.exhausted(); ++done) {
     const std::uint64_t case_seed = seed + static_cast<std::uint64_t>(done);
     Xoshiro256 rng(case_seed);
@@ -321,6 +335,15 @@ int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
       findings.report("differential", case_seed,
                       "exact schedule fails the optimality certificate: " + *failure);
     }
+    // The guided solve above against the plain loop (all-zero hint).
+    const mpss::OptimalResult plain = mpss::optimal_schedule_hinted(
+        instance, std::vector<std::size_t>(instance.size(), 0));
+    guide_fallbacks += exact.stats.counters.value("optimal.guide_fallbacks") +
+                       plain.stats.counters.value("optimal.guide_fallbacks");
+    if (!same_schedule(*exact.exact_schedule(), plain.schedule)) {
+      findings.report("differential", case_seed,
+                      "guided exact schedule differs from the plain phase loop's");
+    }
 
     mpss::SolveOptions fast_options;
     fast_options.engine = mpss::Engine::kFast;
@@ -355,7 +378,9 @@ int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
                           " exact=" + std::to_string(exact.energy));
     }
   }
-  std::printf("differential: %lld cases\n", static_cast<long long>(done));
+  std::printf("differential: %lld cases, %llu guide fallbacks\n",
+              static_cast<long long>(done),
+              static_cast<unsigned long long>(guide_fallbacks));
   return findings.count;
 }
 
