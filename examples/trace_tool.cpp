@@ -136,6 +136,12 @@ int cmd_run(const CliArgs& args) {
             << result.stats.simplex_pivots << " pivots, " << result.stats.replans
             << " replans, " << result.stats.peel_events << " peels, "
             << Table::num(result.stats.wall_seconds, 6) << " s\n";
+  if (const std::uint64_t guide_flows =
+          result.stats.counters.value("optimal.guide_flow_computations")) {
+    std::cout << "guide: " << guide_flows << " flow computations, "
+              << result.stats.counters.value("optimal.guide_candidate_removals")
+              << " removals\n";
+  }
 
   if (const Schedule* schedule = result.exact_schedule()) {
     auto report = check_schedule(instance, *schedule);

@@ -220,6 +220,10 @@ void run_phases(const Instance& instance, const Policy& policy,
       scratch->alloc_array<std::size_t>(interval_count, std::size_t{0});
   std::span<std::size_t> count_active =
       scratch->alloc_array<std::size_t>(interval_count, std::size_t{0});
+  // sink_slack[j]: whether I_j's sink edge is below capacity in the round's
+  // max flow (read only for intervals with a sink edge in the current network).
+  std::span<std::uint8_t> sink_slack =
+      scratch->alloc_array<std::uint8_t>(interval_count, std::uint8_t{0});
 
   std::uint64_t warm_starts = 0;
   std::uint64_t retracted_units = 0;
@@ -259,7 +263,7 @@ void run_phases(const Instance& instance, const Policy& policy,
     RoundNetwork<T> round;
     // Maps current candidate position -> position at network build time (the
     // index into round.source_edges / round.job_edges). Identity right after the
-    // build; kept in sync with `candidates` erases.
+    // build; compacted alongside `candidates` as victims leave.
     std::vector<std::size_t> built_pos;
 
     for (;;) {
@@ -278,8 +282,9 @@ void run_phases(const Instance& instance, const Policy& policy,
       // Reserve m_j = min(n_j, m - used_j) processors per interval (Lemma 3).
       // Within a phase n_j only shrinks, so once the network is built a changed
       // reservation is a capacity *decrease* on an existing sink edge; the
-      // victim's retraction already lowered the carried flow below the new cap
-      // (see DESIGN.md "Warm-start invariant").
+      // victims' retractions already lowered the carried flow below the new cap,
+      // since each surviving job carries at most |I_j| into I_j (see DESIGN.md
+      // "Warm-start invariant").
       T reserved_time{};  // P
       T work{};           // W
       for (std::size_t j = 0; j < interval_count; ++j) {
@@ -351,44 +356,59 @@ void run_phases(const Instance& instance, const Policy& policy,
         break;
       }
 
-      std::size_t victim_pos = kNone;
+      // Lemma 4 (line 10 of Fig. 2): a candidate whose edge (u_k, v_j) is below
+      // capacity into an interval whose sink edge (v_j, v_0) is below capacity
+      // is not in J_i. The lemma holds for every such job of one max flow, so
+      // all of them leave in this round. Sink slack is read before any
+      // retraction: a retraction frees sink capacity but touches no other
+      // job's edges. Ablated removal (experiment E12) drops one random
+      // candidate instead; feasibility survives, optimality does not.
+      std::size_t random_pos = kNone;
       if (paper_rule) {
-        // Lemma 4: pick an unsaturated sink edge (v_j, v_0), then a job active in
-        // I_j whose edge (u_k, v_j) is below capacity; that job is not in J_i.
-        for (std::size_t e = 0; e < round.sink_edges.size() && victim_pos == kNone; ++e) {
-          if (!policy.sink_has_slack(round.net, round.sink_edges[e])) continue;
-          const std::size_t j = round.sink_edge_interval[e];
-          for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-            const std::size_t edge = round.edge_into(built_pos[pos], j);
-            if (edge != kNone && policy.edge_has_slack(round.net, edge)) {
-              victim_pos = pos;
-              break;
-            }
+        for (std::size_t e = 0; e < round.sink_edges.size(); ++e) {
+          sink_slack[round.sink_edge_interval[e]] =
+              policy.sink_has_slack(round.net, round.sink_edges[e]) ? 1 : 0;
+        }
+      } else {
+        random_pos = ablation_rng.below(candidates.size());
+      }
+      auto excluded = [&](std::size_t bpos) {
+        for (std::size_t idx = 0; idx < round.job_edges[bpos].size(); ++idx) {
+          if (sink_slack[round.job_edge_interval[bpos][idx]] != 0 &&
+              policy.edge_has_slack(round.net, round.job_edges[bpos][idx])) {
+            return true;
           }
         }
-        check_loop<Policy>(victim_pos != kNone,
-                           "flow below target but no removable job found");
-      } else {
-        // Ablated removal (experiment E12): drop a random candidate. Feasibility
-        // of the final schedule survives; optimality does not.
-        victim_pos = ablation_rng.below(candidates.size());
-      }
-      ++result.stats.candidate_removals;
-      obs::emit(trace, obs::EventKind::kCandidateRemoved,
-                paper_rule ? labels.lemma4_removal : labels.ablated_removal, phase_index,
-                candidates[victim_pos]);
+        return false;
+      };
 
-      // Retract the victim's flow (leaving a feasible flow on the surviving
-      // jobs) and seal its source edge so resumed searches cannot refill it.
-      const std::size_t edge = round.source_edges[built_pos[victim_pos]];
-      T carried = round.net.flow(edge);
-      if (positive(carried)) {
-        retracted_units += retract_job_flow<Policy>(round, built_pos[victim_pos], carried);
+      // Retract each victim's flow (leaving a feasible flow on the surviving
+      // jobs), seal its source edge so resumed searches cannot refill it, and
+      // compact the survivors in place.
+      std::size_t kept = 0;
+      for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
+        const std::size_t bpos = built_pos[pos];
+        if (paper_rule ? !excluded(bpos) : pos != random_pos) {
+          candidates[kept] = candidates[pos];
+          built_pos[kept++] = bpos;
+          continue;
+        }
+        ++result.stats.candidate_removals;
+        obs::emit(trace, obs::EventKind::kCandidateRemoved,
+                  paper_rule ? labels.lemma4_removal : labels.ablated_removal,
+                  phase_index, candidates[pos]);
+        const std::size_t edge = round.source_edges[bpos];
+        T carried = round.net.flow(edge);
+        if (positive(carried)) {
+          retracted_units += retract_job_flow<Policy>(round, bpos, carried);
+        }
+        Policy::set_capacity(round.net, edge, T(0));
+        ActiveBitmap::mask_clear(candidate_mask, candidates[pos]);
       }
-      Policy::set_capacity(round.net, edge, T(0));
-      built_pos.erase(built_pos.begin() + static_cast<std::ptrdiff_t>(victim_pos));
-      ActiveBitmap::mask_clear(candidate_mask, candidates[victim_pos]);
-      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(victim_pos));
+      check_loop<Policy>(kept < candidates.size(),
+                         "flow below target but no removable job found");
+      candidates.resize(kept);
+      built_pos.resize(kept);
     }
 
     // ---- phase found: record it and write its slices ----
@@ -739,9 +759,9 @@ OptimalResult optimal_schedule(const Instance& instance, const OptimalOptions& o
     if (options.removal_policy != OptimalOptions::RemovalPolicy::kPaperRule) {
       return run_exact(instance, {}, options, trace);
     }
-    std::vector<std::size_t> hint;
+    FastOptimalResult guide;
     try {
-      hint = optimal_schedule_fast(instance, {.cancel = options.cancel}, trace).job_phase;
+      guide = optimal_schedule_fast(instance, {.cancel = options.cancel}, trace);
     } catch (const CancelledError&) {
       throw;
     } catch (const std::exception&) {
@@ -749,7 +769,14 @@ OptimalResult optimal_schedule(const Instance& instance, const OptimalOptions& o
       // window that vanishes in doubles) gets the plain loop.
       return run_unguided(instance, options, trace);
     }
-    return run_hinted(instance, hint, options, trace);
+    OptimalResult result = run_hinted(instance, guide.job_phase, options, trace);
+    // The guide's rounds beside the exact loop's own, which the result's
+    // flow_computations and stats fields keep counting alone.
+    result.stats.counters.set("optimal.guide_flow_computations",
+                              guide.stats.flow_computations);
+    result.stats.counters.set("optimal.guide_candidate_removals",
+                              guide.stats.candidate_removals);
+    return result;
   });
 }
 

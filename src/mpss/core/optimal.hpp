@@ -12,12 +12,13 @@
 //     (Lemma 3), set s = W / P (total work over reserved processing time), and ask
 //     a max-flow network G(J, m, s) whether J can be feasibly scheduled at uniform
 //     speed s on the reservation;
-//   * if the max-flow value reaches W/s, J is exactly J_i (Lemma 5); otherwise an
-//     unsaturated sink edge exposes a job that provably does not belong to J_i
-//     (Lemma 4) -- remove it and repeat.
+//   * if the max-flow value reaches W/s, J is exactly J_i (Lemma 5); otherwise
+//     every job with an unsaturated edge into an interval whose sink edge is
+//     unsaturated provably does not belong to J_i (Lemma 4) -- remove all of
+//     them and repeat.
 //
 // Rounds are warm-started: the network is built once per phase, and each removal
-// round retracts the victim's flow, rescales the source capacities to the new
+// round retracts the victims' flow, rescales the source capacities to the new
 // speed, and resumes Dinic from the carried feasible flow (DESIGN.md
 // "Warm-start invariant").
 //
@@ -62,7 +63,8 @@ struct PhaseInfo {
   /// m_ij: processors reserved in each atomic interval (indexed like the
   /// decomposition's intervals).
   std::vector<std::size_t> machines_per_interval;
-  /// Max-flow computations spent identifying this set (1 + number of removals).
+  /// Max-flow computations spent identifying this set (1 + number of removal
+  /// rounds; one round may remove several jobs).
   std::size_t rounds = 0;
 };
 
@@ -122,9 +124,12 @@ struct OptimalOptions {
 
 /// As above with ablation/cancellation options. Under the paper's removal rule
 /// it runs optimal_schedule_fast as a guide (same cancel token, same trace
-/// sink) and returns optimal_schedule_hinted for the guide's job_phase; a guide
-/// that throws anything but CancelledError counts one `optimal.guide_fallbacks`
-/// and the plain loop runs instead. With kRandomCandidate it runs the plain,
+/// sink) and returns optimal_schedule_hinted for the guide's job_phase, whose
+/// stats counters `optimal.guide_flow_computations` and
+/// `optimal.guide_candidate_removals` carry the guide's own work (the stats
+/// fields and `flow_computations` count the exact loop alone); a guide that
+/// throws anything but CancelledError counts one `optimal.guide_fallbacks` and
+/// the plain loop runs instead. With kRandomCandidate it runs the plain,
 /// uncertified loop: the result is feasible but may be suboptimal (and phase
 /// speeds may not decrease), and InternalError is thrown if the ablated
 /// removals empty a candidate set. Throws CancelledError when `options.cancel`

@@ -26,7 +26,8 @@ struct SolveStats {
   std::size_t flow_computations = 0;  // max-flow feasibility tests (sum of rounds)
   std::size_t flow_bfs_rounds = 0;    // Dinic level graphs built, all tests
   std::size_t flow_augmenting_paths = 0;
-  std::size_t candidate_removals = 0;  // Lemma-4 removals (= rounds - phases)
+  std::size_t candidate_removals = 0;  // Lemma-4 removals (>= rounds - phases:
+                                       // a round may remove several jobs)
 
   // LP engine.
   std::size_t simplex_pivots = 0;

@@ -189,8 +189,7 @@ SolveResult solve(const Instance& instance, const SolveOptions& options) {
     // process-wide, mirroring the numeric counters above (process dashboards
     // and /metrics read Registry).
     for (const auto& [name, value] : result.stats.counters.items()) {
-      if (value != 0 && (name.starts_with("flow.") || name == "optimal.guided_phases" ||
-                         name == "optimal.guide_fallbacks")) {
+      if (value != 0 && (name.starts_with("flow.") || name.starts_with("optimal.guide"))) {
         obs::Registry::global().add(name, value);
       }
     }

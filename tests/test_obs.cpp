@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/stats.hpp"
 #include "mpss/obs/trace.hpp"
+#include "mpss/util/error.hpp"
 #include "mpss/util/thread_pool.hpp"
 
 namespace mpss::obs {
@@ -323,24 +325,52 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
   auto names = corpus::names();
   ASSERT_GE(names.size(), 8u);
   // The guided solve closes each phase in one round; the all-zero hint runs
-  // the plain loop, whose removal rounds the trace must show too.
+  // the plain loop, whose removal rounds the trace must show too; the random
+  // removal ablation (E12) drops one candidate per round.
+  enum class Mode { kGuided, kAllZeroHint, kRandomRemoval };
+  std::size_t ablated_runs = 0;
+  std::size_t ablated_removals = 0;
   for (const std::string& name : names) {
-    for (const bool guided : {true, false}) {
-      SCOPED_TRACE(name + (guided ? " guided" : " all-zero hint"));
+    for (const Mode mode : {Mode::kGuided, Mode::kAllZeroHint, Mode::kRandomRemoval}) {
+      SCOPED_TRACE(name + (mode == Mode::kGuided        ? " guided"
+                           : mode == Mode::kAllZeroHint ? " all-zero hint"
+                                                        : " random removal"));
       Instance instance = corpus::load(name);
       MemorySink sink;
-      OptimalResult result =
-          guided ? optimal_schedule(instance, OptimalOptions{}, &sink)
-                 : optimal_schedule_hinted(instance,
-                                           std::vector<std::size_t>(instance.size(), 0),
-                                           OptimalOptions{}, &sink);
+      auto run = [&] {
+        if (mode == Mode::kGuided) return optimal_schedule(instance, {}, &sink);
+        if (mode == Mode::kAllZeroHint) {
+          return optimal_schedule_hinted(
+              instance, std::vector<std::size_t>(instance.size(), 0), {}, &sink);
+        }
+        return optimal_schedule(
+            instance,
+            {.removal_policy = OptimalOptions::RemovalPolicy::kRandomCandidate}, &sink);
+      };
+      std::optional<OptimalResult> solved;
+      try {
+        solved = run();
+      } catch (const InternalError&) {
+        // Random removals may empty a candidate set; the paper's rule may not.
+        ASSERT_EQ(mode, Mode::kRandomRemoval);
+        continue;
+      }
+      const OptimalResult& result = *solved;
 
       // SolveStats mirrors the result's own structural fields.
       EXPECT_EQ(result.stats.phases, result.phases.size());
       EXPECT_EQ(result.stats.flow_computations, result.flow_computations);
-      EXPECT_EQ(result.stats.candidate_removals,
-                result.flow_computations - result.phases.size());
       EXPECT_GT(result.stats.wall_seconds, 0.0);
+      // Every round that does not close a phase removes at least one
+      // candidate: Lemma 4 removes every job it excludes at once, the
+      // ablation exactly one.
+      const std::size_t removal_rounds = result.flow_computations - result.phases.size();
+      EXPECT_LE(removal_rounds, result.stats.candidate_removals);
+      if (mode == Mode::kRandomRemoval) {
+        ++ablated_runs;
+        ablated_removals += result.stats.candidate_removals;
+        EXPECT_EQ(result.stats.candidate_removals, removal_rounds);
+      }
 
       // flow_computations == sum of per-phase rounds, each phase >= 1 round.
       std::size_t total_rounds = 0;
@@ -351,10 +381,11 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
       EXPECT_EQ(total_rounds, result.flow_computations);
 
       // The trace tells the same story: one kFlowRound per feasibility test
-      // (grouped by phase via the `a` payload), one kPhaseEnd per phase, and a
-      // kCandidateRemoved for every round that did not close a phase. Only the
-      // exact engine's "optimal.*" events count: the fast guide it runs first
-      // emits its own under "optimal_fast.*".
+      // and one kPhaseEnd per phase, and per phase a kCandidateRemoved for
+      // every job of its start set (kPhaseStart's `b`) that is not in J_i;
+      // all grouped by phase via the `a` payload. Only the exact engine's
+      // "optimal.*" events count: the fast guide it runs first emits its own
+      // under "optimal_fast.*".
       auto events = sink.events();
       auto exact_count = [&events](EventKind kind) {
         return std::count_if(events.begin(), events.end(), [kind](const TraceEvent& e) {
@@ -368,18 +399,28 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
                 static_cast<std::ptrdiff_t>(result.flow_computations));
       EXPECT_EQ(exact_count(EventKind::kCandidateRemoved),
                 static_cast<std::ptrdiff_t>(result.stats.candidate_removals));
-      for (std::size_t i = 0; i < result.phases.size(); ++i) {
-        std::size_t rounds_in_trace = 0;
-        for (const TraceEvent& event : events) {
-          if (event.kind == EventKind::kFlowRound && event.label == "optimal.round" &&
-              event.a == i) {
-            ++rounds_in_trace;
-          }
-        }
-        EXPECT_EQ(rounds_in_trace, result.phases[i].rounds) << "phase " << i;
+      const std::size_t phases = result.phases.size();
+      std::vector<std::size_t> rounds(phases, 0), start_size(phases, 0), removed(phases, 0);
+      for (const TraceEvent& event : events) {
+        if (!event.label.starts_with("optimal.")) continue;
+        const bool round = event.kind == EventKind::kFlowRound;
+        const bool start = event.kind == EventKind::kPhaseStart;
+        const bool removal = event.kind == EventKind::kCandidateRemoved;
+        if (!round && !start && !removal) continue;
+        ASSERT_LT(event.a, phases) << event.label;
+        if (round) ++rounds[event.a];
+        if (start) start_size[event.a] = event.b;
+        if (removal) ++removed[event.a];
+      }
+      for (std::size_t i = 0; i < phases; ++i) {
+        EXPECT_EQ(rounds[i], result.phases[i].rounds) << "phase " << i;
+        EXPECT_EQ(removed[i], start_size[i] - result.phases[i].jobs.size()) << "phase " << i;
       }
     }
   }
+  // The ablated equality must be checked on runs that removed something.
+  EXPECT_GE(ablated_runs, 3u) << "too few ablated runs completed";
+  EXPECT_GT(ablated_removals, 0u);
 }
 
 TEST(TelemetryDifferential, StatsSchemaDocumentedCountersArePresent) {

@@ -2,9 +2,10 @@
 // double-precision engine's partition seeds each exact phase, the optimality
 // certificate proves the result, and a result it cannot prove is recomputed by
 // the plain phase loop. Pins that guided results are bit-identical to the plain
-// loop's, with one flow per phase and no fallback, on the corpus and the
-// generated set; that a wrong hint and a failing guide both fall back to the
-// optimum; and that cancellation is never turned into a fallback.
+// loop's, with one flow per phase and no fallback, on the corpus, the generated
+// set and at the serving benchmark's size; that a wrong hint and a failing
+// guide both fall back to the optimum; and that cancellation is never turned
+// into a fallback.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +83,54 @@ TEST(GuidedExact, MatchesThePlainLoopInOneFlowPerPhaseOnCorpusAndGeneratedSet) {
     EXPECT_EQ(fallbacks(plain), 0u) << tag;
     expect_same_result(guided, plain, tag);
   });
+}
+
+/// The serving benchmark's four exact families at n=64, m=4 (the parameters of
+/// servebench's `family_instance`), plus the uniform one rescaled off the
+/// integers as a quarter of its exact requests are. Their plain-loop phases
+/// remove several jobs per max flow, which the small generated set rarely does.
+std::vector<std::pair<std::string, Instance>> serving_size_instances() {
+  constexpr std::size_t n = 64;
+  constexpr std::size_t m = 4;
+  constexpr std::int64_t horizon = 3 * static_cast<std::int64_t>(n);
+  constexpr std::uint64_t seed = 7;
+  std::vector<std::pair<std::string, Instance>> instances;
+  instances.emplace_back("uniform", generate_uniform({.jobs = n, .machines = m,
+                                                      .horizon = horizon,
+                                                      .max_window = 10, .max_work = 8},
+                                                     seed));
+  instances.emplace_back(
+      "uniform rescaled",
+      scale_work(scale_time(instances.back().second, Q(1009, 997)), Q(101, 103)));
+  instances.emplace_back("bursty",
+                         generate_bursty({.bursts = n / 4, .jobs_per_burst = 4,
+                                          .machines = m, .horizon = horizon,
+                                          .burst_window = 6, .max_work = 8},
+                                         seed));
+  instances.emplace_back(
+      "laminar", generate_laminar({.jobs = n, .machines = m, .depth = 4, .max_work = 8}, seed));
+  instances.emplace_back("heavy tail", generate_heavy_tail({.jobs = n, .machines = m,
+                                                            .horizon = horizon,
+                                                            .shape = 1.5, .max_work = 64},
+                                                           seed));
+  return instances;
+}
+
+TEST(GuidedExact, MatchesThePlainLoopAtServingSize) {
+  for (const auto& [tag, instance] : serving_size_instances()) {
+    const OptimalResult guided = optimal_schedule(instance);
+    const OptimalResult plain = optimal_schedule_hinted(instance, all_zero_hint(instance));
+    EXPECT_EQ(fallbacks(guided), 0u) << tag;
+    EXPECT_EQ(guided.flow_computations, guided.phases.size()) << tag;
+    EXPECT_EQ(fallbacks(plain), 0u) << tag;
+    expect_same_result(guided, plain, tag);
+    std::optional<std::string> failure = certify_optimal(instance, guided.schedule);
+    EXPECT_FALSE(failure.has_value()) << tag << ": " << *failure;
+    EXPECT_EQ(optimal_schedule_fast(instance).job_phase, plain.job_phase) << tag;
+    // Some round removes more than one job: Lemma 4 excludes them all at once.
+    EXPECT_GT(plain.stats.candidate_removals, plain.flow_computations - plain.phases.size())
+        << tag;
+  }
 }
 
 TEST(GuidedExact, AHintMissingAJobOfTheFirstPhaseFallsBackToTheOptimum) {

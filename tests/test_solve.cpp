@@ -189,6 +189,8 @@ TEST(Solve, GuideCountersReachTheRegistry) {
   };
   const std::uint64_t guided_before = registry("optimal.guided_phases");
   const std::uint64_t fallbacks_before = registry("optimal.guide_fallbacks");
+  const std::uint64_t guide_flows_before = registry("optimal.guide_flow_computations");
+  const std::uint64_t guide_removals_before = registry("optimal.guide_candidate_removals");
   SolveResult guided = run(test_instance(), Engine::kExact);
   SolveResult fallback = run(corpus::vanishing_window(), Engine::kExact);
   ASSERT_TRUE(guided.ok());
@@ -197,6 +199,20 @@ TEST(Solve, GuideCountersReachTheRegistry) {
   EXPECT_EQ(fallback.stats.counters.value("optimal.guide_fallbacks"), 1u);
   EXPECT_EQ(registry("optimal.guided_phases") - guided_before, guided.stats.phases);
   EXPECT_EQ(registry("optimal.guide_fallbacks") - fallbacks_before, 1u);
+
+  // The guide's own rounds and removals, which the exact loop's stats fields
+  // leave out: those of a direct fast run on the same instance.
+  const FastOptimalResult guide = optimal_schedule_fast(test_instance());
+  ASSERT_GT(guide.stats.candidate_removals, 0u);
+  EXPECT_EQ(guided.stats.counters.value("optimal.guide_flow_computations"),
+            guide.stats.flow_computations);
+  EXPECT_EQ(guided.stats.counters.value("optimal.guide_candidate_removals"),
+            guide.stats.candidate_removals);
+  EXPECT_EQ(guided.stats.flow_computations, guided.stats.phases);
+  EXPECT_EQ(registry("optimal.guide_flow_computations") - guide_flows_before,
+            guide.stats.flow_computations);
+  EXPECT_EQ(registry("optimal.guide_candidate_removals") - guide_removals_before,
+            guide.stats.candidate_removals);
 }
 
 /// Lets `token`'s deadline pass exactly while the exact engine's fast guide

@@ -15,7 +15,8 @@
 //                  all-zero hint), fast must agree with exact to 1e-6
 //                  relative, LP must never beat the optimum by more than 1e-6,
 //                  and returned schedules must satisfy the instance
-//                  (violations() == 0). Prints the guide fallback count.
+//                  (violations() == 0). A guided solve that falls back to the
+//                  plain loop is a finding too; prints the fallback count.
 //
 // With no mode flags, all three run. Exit codes: 0 clean, 1 findings, 2 usage.
 //
@@ -340,6 +341,12 @@ int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
         instance, std::vector<std::size_t>(instance.size(), 0));
     guide_fallbacks += exact.stats.counters.value("optimal.guide_fallbacks") +
                        plain.stats.counters.value("optimal.guide_fallbacks");
+    if (exact.stats.counters.value("optimal.guide_fallbacks") != 0) {
+      // The result is still the optimum, but the solve paid for the plain
+      // loop on top of the guide and the hinted try.
+      findings.report("differential", case_seed,
+                      "guided exact solve fell back to the plain phase loop");
+    }
     if (!same_schedule(*exact.exact_schedule(), plain.schedule)) {
       findings.report("differential", case_seed,
                       "guided exact schedule differs from the plain phase loop's");
