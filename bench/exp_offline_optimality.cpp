@@ -80,12 +80,12 @@ int main(int argc, char** argv) {
       // The paper's plain loop (all-zero hint): the guided engine would count
       // only one exact flow per phase.
       const std::vector<std::size_t> plain(instance.size(), 0);
-      OptimalResult result{Schedule(1), IntervalDecomposition({}), {}, 0, {}, {}};
+      OptimalResult result{Schedule(1), IntervalDecomposition({}), {}, {}, {}};
       double seconds = exp::timed_seconds(
           [&] { result = optimal_schedule_hinted(instance, plain); });
       bool feasible = check_schedule(instance, result.schedule).feasible;
       feasible_ok &= feasible;
-      scale.row(n, m, result.phases.size(), result.flow_computations,
+      scale.row(n, m, result.phases.size(), result.stats.flow_computations,
                 Table::num(seconds, 4), feasible ? std::string("yes") : std::string("NO"));
     }
   }

@@ -3,11 +3,11 @@
 // dissipation has become a major concern").
 //
 // Generates a bursty workload, schedules it with every strategy in the library,
-// and prints an energy scoreboard. Also exports the workload as a CSV trace so the
-// run is reproducible outside this binary.
+// and prints an energy scoreboard. Also exports the workload as canonical instance
+// JSON so the run is reproducible outside this binary.
 //
 // Usage: ./build/examples/datacenter_batch [--machines=8] [--bursts=6]
-//          [--jobs-per-burst=8] [--alpha=3] [--seed=1] [--trace=out.csv]
+//          [--jobs-per-burst=8] [--alpha=3] [--seed=1] [--trace=out.json]
 
 #include <iostream>
 
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       generate_bursty(config, seed).with_power(PowerSpec::alpha(alpha));
   std::cout << "cluster workload: " << instance.summary() << "\n";
   if (args.has("trace")) {
-    save_instance(instance, args.get("trace", "trace.csv"));
-    std::cout << "trace written to " << args.get("trace", "trace.csv") << "\n";
+    save_instance(instance, args.get("trace", "trace.json"));
+    std::cout << "trace written to " << args.get("trace", "trace.json") << "\n";
   }
   auto power = instance.power().instantiate();
   const PowerFunction& p = *power;

@@ -3,20 +3,24 @@
 // archive the result. The kind of tool a downstream user scripts against.
 //
 // Subcommands (first positional argument):
-//   gen   --family=uniform|bursty|laminar|agreeable|periodic --out=trace.csv
+//   gen   --family=uniform|bursty|laminar|agreeable|periodic --out=trace.json
 //         [--jobs=12] [--machines=4] [--seed=1]
-//   info  <trace.csv>
-//   run   <trace.csv> --algo=opt|fast|oa|avr|lp|greedy [--alpha=3]
-//         [--gantt] [--save=schedule.csv] [--trace=events.jsonl]
+//   info  <trace.json>
+//   run   <trace.json> --algo=opt|fast|oa|avr|lp|greedy [--alpha=3]
+//         [--gantt] [--save=result.json] [--trace=events.jsonl]
 //
-// Everything except greedy goes through the mpss::solve() facade; --trace
-// attaches a JSONL sink whose output tools/mpss_trace summarizes.
+// Instances are canonical instance JSON (core/instance_json.hpp), the format
+// of data/corpus and of the wire protocol. --save writes the solve's result
+// as the JSON object a daemon reply carries (net/protocol.hpp). Everything
+// except greedy goes through the mpss::solve() facade; --trace attaches a
+// JSONL sink whose output tools/mpss_trace summarizes.
 //
 // Examples:
-//   trace_tool gen --family=bursty --jobs=16 --machines=4 --out=/tmp/t.csv
-//   trace_tool info /tmp/t.csv
-//   trace_tool run /tmp/t.csv --algo=opt --gantt --trace=/tmp/t.jsonl
+//   trace_tool gen --family=bursty --jobs=16 --machines=4 --out=/tmp/t.json
+//   trace_tool info /tmp/t.json
+//   trace_tool run /tmp/t.json --algo=opt --gantt --trace=/tmp/t.jsonl
 
+#include <fstream>
 #include <iostream>
 #include <memory>
 
@@ -31,7 +35,7 @@ int cmd_gen(const CliArgs& args) {
   auto jobs = static_cast<std::size_t>(args.get_int("jobs", 12));
   auto machines = static_cast<std::size_t>(args.get_int("machines", 4));
   auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  std::string out = args.get("out", "trace.csv");
+  std::string out = args.get("out", "trace.json");
 
   Instance instance = [&] {
     if (family == "uniform") {
@@ -70,7 +74,7 @@ int cmd_gen(const CliArgs& args) {
 
 int cmd_info(const CliArgs& args) {
   if (args.positional().size() < 2) {
-    std::cerr << "usage: trace_tool info <trace.csv>\n";
+    std::cerr << "usage: trace_tool info <trace.json>\n";
     return 2;
   }
   Instance instance = load_instance(args.positional()[1]);
@@ -83,7 +87,7 @@ int cmd_info(const CliArgs& args) {
 
 int cmd_run(const CliArgs& args) {
   if (args.positional().size() < 2) {
-    std::cerr << "usage: trace_tool run <trace.csv> --algo=opt|fast|oa|avr|lp|greedy\n";
+    std::cerr << "usage: trace_tool run <trace.json> --algo=opt|fast|oa|avr|lp|greedy\n";
     return 2;
   }
   Instance instance = load_instance(args.positional()[1]);
@@ -156,10 +160,6 @@ int cmd_run(const CliArgs& args) {
     if (args.get_bool("gantt", false)) {
       std::cout << "\n" << render_gantt(*schedule);
     }
-    if (args.has("save")) {
-      save_schedule(*schedule, args.get("save", "schedule.csv"));
-      std::cout << "schedule written to " << args.get("save", "schedule.csv") << "\n";
-    }
   } else if (result.fast_schedule() != nullptr) {
     std::size_t violations = result.violations(instance);
     std::cout << "feasible (1e-7 tolerance): " << (violations == 0 ? "yes" : "NO")
@@ -171,6 +171,13 @@ int cmd_run(const CliArgs& args) {
     std::cout << "LP bound under " << p.name() << ": " << result.energy << " ("
               << result.stats.counters.value("lp.variables") << " vars, "
               << result.stats.counters.value("lp.constraints") << " rows)\n";
+  }
+  if (args.has("save")) {
+    const std::string path = args.get("save", "result.json");
+    std::ofstream out(path);
+    out << json::serialize(net::result_to_json_value(result)) << "\n";
+    if (!out) throw std::runtime_error("cannot write " + path);
+    std::cout << "result written to " << path << "\n";
   }
   return 0;
 }

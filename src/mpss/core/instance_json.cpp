@@ -1,6 +1,8 @@
 #include "mpss/core/instance_json.hpp"
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -132,6 +134,21 @@ std::string instance_to_json(const Instance& instance) {
 
 Instance instance_from_json(std::string_view text) {
   return instance_from_json_value(json::parse(text));
+}
+
+void save_instance(const Instance& instance, const std::string& path) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("save_instance: cannot open " + path);
+  out << instance_to_json(instance) << "\n";
+  if (!out) throw std::runtime_error("save_instance: write failed for " + path);
+}
+
+Instance load_instance(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("load_instance: cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return instance_from_json(buffer.str());
 }
 
 }  // namespace mpss

@@ -1,13 +1,13 @@
 #pragma once
 // Canonical JSON form of a problem Instance (S45, see DESIGN.md).
 //
-// One codec serves every consumer that needs an instance as text: the wire
-// protocol (net/protocol.hpp), the corpus generator (tools/make_corpus), and
-// the trace import/export layer (workload/traces.hpp). The encoding is
-// exact-rational-safe: every time and work travels as a Q string ("a" or
-// "a/b"), never as a double, so parse(serialize(x)) == x bit for bit. Power
-// spec parameters are doubles serialized at max_digits10, which round-trips
-// every finite double exactly.
+// The one instance format: the wire protocol (net/protocol.hpp), the stored
+// corpus (data/corpus/*.instance.json, written by tools/make_corpus) and every
+// tool that reads or writes an instance file go through this codec. The
+// encoding is exact-rational-safe: every time and work travels as a Q string
+// ("a" or "a/b"), never as a double, so parse(serialize(x)) == x bit for bit.
+// Power spec parameters are doubles serialized at max_digits10, which
+// round-trips every finite double exactly.
 //
 // Canonical document (compact, fixed member order):
 //
@@ -45,5 +45,11 @@ inline constexpr int kInstanceJsonVersion = 1;
 /// Instance's own validation.
 [[nodiscard]] std::string instance_to_json(const Instance& instance);
 [[nodiscard]] Instance instance_from_json(std::string_view text);
+
+/// File forms: the canonical document plus a trailing newline. Throw
+/// std::runtime_error on I/O failure; load_instance also throws what
+/// instance_from_json throws.
+void save_instance(const Instance& instance, const std::string& path);
+[[nodiscard]] Instance load_instance(const std::string& path);
 
 }  // namespace mpss

@@ -275,7 +275,7 @@ void run_phases(const Instance& instance, const Policy& policy,
       check_loop<Policy>(!candidates.empty(),
                          "candidate set emptied; Lemma 4 invariant broken");
       ++rounds;
-      ++result.flow_computations;
+      ++result.stats.flow_computations;
       // The phase's first round builds the network; later rounds resume it.
       const bool resumed = rounds > 1;
 
@@ -440,7 +440,6 @@ void run_phases(const Instance& instance, const Policy& policy,
   }
 
   result.stats.phases = phases;
-  result.stats.flow_computations = result.flow_computations;
   result.stats.counters.set("flow.warm_starts", warm_starts);
   result.stats.counters.set("flow.retracted_units", retracted_units);
   result.stats.counters.set("flow.resume_bfs", resume_bfs);
@@ -692,7 +691,7 @@ OptimalResult run_exact(const Instance& instance, std::span<const std::size_t> h
   const ExactPolicy policy{
       .instance = instance,
       .paper_rule = options.removal_policy == OptimalOptions::RemovalPolicy::kPaperRule};
-  OptimalResult result{Schedule(instance.machines()), policy.intervals, {}, 0, {},
+  OptimalResult result{Schedule(instance.machines()), policy.intervals, {}, {},
                        std::vector<std::size_t>(instance.size(), OptimalResult::kNoPhase)};
   run_phases(instance, policy, result, options, hint, trace);
   return result;
@@ -716,12 +715,7 @@ OptimalResult run_hinted(const Instance& instance, std::span<const std::size_t> 
     bool certified = false;
     {
       obs::SpanScope certify_span(trace, "optimal.certify");
-      // Certify a copy: the check reads slices through Schedule::machine,
-      // which sorts them in place, while Schedule::energy sums them in stored
-      // order; the result keeps the order the plain loop returns, so energies
-      // match it to the last bit.
-      const Schedule copy = result.schedule;
-      certified = !certify_optimal(instance, copy).has_value();
+      certified = !certify_optimal(instance, result.schedule).has_value();
     }
     if (certified) {
       result.stats.counters.set("optimal.guided_phases", result.phases.size());
@@ -770,8 +764,8 @@ OptimalResult optimal_schedule(const Instance& instance, const OptimalOptions& o
       return run_unguided(instance, options, trace);
     }
     OptimalResult result = run_hinted(instance, guide.job_phase, options, trace);
-    // The guide's rounds beside the exact loop's own, which the result's
-    // flow_computations and stats fields keep counting alone.
+    // The guide's rounds beside the exact loop's own, which the stats fields
+    // keep counting alone.
     result.stats.counters.set("optimal.guide_flow_computations",
                               guide.stats.flow_computations);
     result.stats.counters.set("optimal.guide_candidate_removals",

@@ -77,11 +77,9 @@ struct OptimalResult {
   Schedule schedule;
   IntervalDecomposition intervals;
   std::vector<PhaseInfo> phases;
-  /// Total max-flow computations (sum of phase rounds).
-  std::size_t flow_computations = 0;
   /// Telemetry: phase/round/removal counts plus flow-kernel work and wall time.
-  /// `stats.flow_computations` mirrors the field above; `stats.phases` equals
-  /// `phases.size()`.
+  /// `stats.flow_computations` is the sum of the phases' rounds;
+  /// `stats.phases` equals `phases.size()`.
   obs::SolveStats stats;
   /// Index into `phases` per job (kNoPhase for zero-work jobs), filled as the
   /// phases close so speed_of_job is O(1) instead of a phase scan.
@@ -127,13 +125,12 @@ struct OptimalOptions {
 /// sink) and returns optimal_schedule_hinted for the guide's job_phase, whose
 /// stats counters `optimal.guide_flow_computations` and
 /// `optimal.guide_candidate_removals` carry the guide's own work (the stats
-/// fields and `flow_computations` count the exact loop alone); a guide that
-/// throws anything but CancelledError counts one `optimal.guide_fallbacks` and
-/// the plain loop runs instead. With kRandomCandidate it runs the plain,
-/// uncertified loop: the result is feasible but may be suboptimal (and phase
-/// speeds may not decrease), and InternalError is thrown if the ablated
-/// removals empty a candidate set. Throws CancelledError when `options.cancel`
-/// fires.
+/// fields count the exact loop alone); a guide that throws anything but
+/// CancelledError counts one `optimal.guide_fallbacks` and the plain loop runs
+/// instead. With kRandomCandidate it runs the plain, uncertified loop: the
+/// result is feasible but may be suboptimal (and phase speeds may not
+/// decrease), and InternalError is thrown if the ablated removals empty a
+/// candidate set. Throws CancelledError when `options.cancel` fires.
 ///
 /// `trace` records phase boundaries, per-round flow values, and candidate
 /// removals as obs events, the guide's under "optimal_fast.*" labels, all

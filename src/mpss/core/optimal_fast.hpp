@@ -50,7 +50,6 @@ struct FastOptimalResult {
   /// Index into `phase_speeds` per job (kNoPhase for zero-work jobs): the
   /// partition the exact engine takes as its phase hint.
   std::vector<std::size_t> job_phase;
-  std::size_t flow_computations = 0;
   /// Telemetry mirroring the exact engine's (phases/rounds/removals, flow-kernel
   /// work, wall time) so bench_offline can compare the two paths event-for-event.
   obs::SolveStats stats;

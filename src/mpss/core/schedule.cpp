@@ -21,22 +21,14 @@ void Schedule::add(std::size_t machine, Slice slice) {
   check_arg(machine < machines_.size(), "Schedule::add: machine index out of range");
   check_arg(slice.start < slice.end, "Schedule::add: slice needs start < end");
   check_arg(slice.speed.sign() > 0, "Schedule::add: slice speed must be positive");
-  machines_[machine].push_back(std::move(slice));
-  sorted_ = false;
-}
-
-void Schedule::ensure_sorted() const {
-  if (sorted_) return;
-  for (auto& machine : machines_) {
-    std::sort(machine.begin(), machine.end(),
-              [](const Slice& a, const Slice& b) { return a.start < b.start; });
-  }
-  sorted_ = true;
+  std::vector<Slice>& slices = machines_[machine];
+  auto at = std::upper_bound(slices.begin(), slices.end(), slice.start,
+                             [](const Q& start, const Slice& s) { return start < s.start; });
+  slices.insert(at, std::move(slice));
 }
 
 std::span<const Slice> Schedule::machine(std::size_t index) const {
   check_arg(index < machines_.size(), "Schedule::machine: index out of range");
-  ensure_sorted();
   return machines_[index];
 }
 
@@ -91,11 +83,8 @@ void Schedule::merge(const Schedule& other) {
   check_arg(other.machines_.size() == machines_.size(),
             "Schedule::merge: machine counts differ");
   for (std::size_t machine = 0; machine < machines_.size(); ++machine) {
-    for (const Slice& slice : other.machines_[machine]) {
-      machines_[machine].push_back(slice);
-    }
+    for (const Slice& slice : other.machines_[machine]) add(machine, slice);
   }
-  sorted_ = false;
 }
 
 double Schedule::energy(const PowerFunction& p) const {

@@ -28,9 +28,11 @@ struct Slice {
 };
 
 /// A multi-processor schedule: per-processor lists of slices. Slices may be added
-/// in any order; accessors present them sorted by start time. Feasibility (windows,
-/// overlaps, work completion) is verified by check_schedule, not at insertion, so
-/// algorithms can build schedules incrementally.
+/// in any order; each machine keeps its slices sorted by start time as they
+/// arrive (slices with equal starts in insertion order), so every reader --
+/// energy included -- sees one order. Feasibility (windows, overlaps, work
+/// completion) is verified by check_schedule, not at insertion, so algorithms
+/// can build schedules incrementally.
 class Schedule {
  public:
   explicit Schedule(std::size_t machines);
@@ -59,10 +61,11 @@ class Schedule {
   /// window; empty intersections are dropped.
   [[nodiscard]] Schedule clipped(const Q& t0, const Q& t1) const;
 
-  /// Appends every slice of `other` (machine counts must match).
+  /// Adds every slice of `other` (machine counts must match).
   void merge(const Schedule& other);
 
-  /// Energy consumed according to P: sum over slices of P(speed) * duration.
+  /// Energy consumed according to P: sum over slices of P(speed) * duration,
+  /// in machine order, then start order.
   /// Idle time contributes P(0) * idle_duration per machine over [t0, t1) only if
   /// P(0) > 0; pass the instance horizon for power functions with static power.
   [[nodiscard]] double energy(const PowerFunction& p) const;
@@ -78,10 +81,7 @@ class Schedule {
   [[nodiscard]] Q max_speed() const;
 
  private:
-  void ensure_sorted() const;
-
-  mutable std::vector<std::vector<Slice>> machines_;
-  mutable bool sorted_ = true;
+  std::vector<std::vector<Slice>> machines_;
 };
 
 /// Result of validating a schedule against an instance. `violations` holds

@@ -74,5 +74,4 @@
 #include "mpss/util/thread_pool.hpp"
 #include "mpss/workload/analysis.hpp"
 #include "mpss/workload/generators.hpp"
-#include "mpss/workload/traces.hpp"
 #include "mpss/workload/transform.hpp"

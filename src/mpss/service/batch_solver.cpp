@@ -250,29 +250,9 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
     obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_miss", *key);
   }
 
-  SolveOptions run_options = request.options;
-  CancelToken deadline_token;
-  if (request.deadline != CancelToken::Clock::time_point::max()) {
-    deadline_token.set_deadline(request.deadline);
-    // A caller token that fired while the request was queued still wins: honour
-    // it now, before the deadline token replaces it for the run.
-    if (run_options.cancel != nullptr && run_options.cancel->cancel_requested()) {
-      SolveResult cancelled;
-      cancelled.status = SolveStatus::kCancelled;
-      cancelled.error_detail = "solve abandoned: cancellation requested";
-      obs::emit(nullptr, obs::EventKind::kCounter, "service.done",
-                static_cast<std::uint64_t>(cancelled.status), /*b=*/0,
-                request_span.elapsed_seconds());
-      annotate(cancelled, queue_wait_us, /*cache_hit=*/false);
-      pending.promise.set_value(std::move(cancelled));
-      return;
-    }
-    run_options.cancel = &deadline_token;
-  }
-
   SolveResult result;
   try {
-    result = solve(request.instance, run_options);
+    result = solve(request.instance, request.options);
   } catch (...) {
     // solve() only throws InternalError (a library bug); hand it to the waiter.
     pending.promise.set_exception(std::current_exception());

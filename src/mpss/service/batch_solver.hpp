@@ -22,7 +22,6 @@
 // Results come back as std::future<SolveResult>; solve_many() is the one-shot
 // wrapper that submits a span of instances and returns results in input order.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -41,16 +40,12 @@ namespace mpss {
 /// deliberately ignores them).
 struct SolveRequest {
   Instance instance;
+  /// A deadline or cancellation travels on `options.cancel` (a CancelToken
+  /// with set_deadline / request_cancel): a token that fires while the
+  /// request is queued stops it before dispatch, one that fires mid-run at
+  /// the next engine checkpoint, and either resolves as kDeadlineExceeded or
+  /// kCancelled.
   SolveOptions options;
-
-  /// Soft deadline: once passed, the solve is abandoned at the next engine
-  /// checkpoint and resolves with status kDeadlineExceeded. The default never
-  /// fires. When set, the service installs its own CancelToken carrying this
-  /// deadline for the duration of the run; a caller-provided `options.cancel`
-  /// token is still honoured up to dispatch (a request cancelled while queued
-  /// never runs) -- to compose mid-run cancellation WITH a deadline, put the
-  /// deadline on your own token via CancelToken::set_deadline instead.
-  CancelToken::Clock::time_point deadline = CancelToken::Clock::time_point::max();
 
   /// Admission-queue priority: higher runs first; ties dispatch FIFO.
   int priority = 0;
@@ -118,7 +113,7 @@ class BatchSolver {
 
   /// Instance-first conveniences: the common "solve this value under these
   /// knobs" shape without spelling out a SolveRequest (service hints take
-  /// their defaults: no deadline, priority 0).
+  /// their defaults: priority 0, untraced).
   [[nodiscard]] Submission submit(Instance instance,
                                   SolveOptions options = SolveOptions{});
   [[nodiscard]] Submission try_submit(Instance instance,

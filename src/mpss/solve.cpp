@@ -226,18 +226,4 @@ SolveResult solve(const Instance& instance, const SolveOptions& options) {
   }
 }
 
-SolveResult solve(std::vector<Job> jobs, std::size_t machines,
-                  const SolveOptions& options) {
-  try {
-    return solve(Instance(std::move(jobs), machines), options);
-  } catch (const std::invalid_argument& error) {
-    // The Instance constructor's validation, converted to the facade's status
-    // convention (the Instance overload never sees an invalid instance).
-    SolveResult result;
-    result.status = SolveStatus::kInvalidInstance;
-    result.error_detail = error.what();
-    return result;
-  }
-}
-
 }  // namespace mpss

@@ -162,11 +162,4 @@ struct SolveResult {
 [[nodiscard]] SolveResult solve(const Instance& instance,
                                 const SolveOptions& options = SolveOptions{});
 
-/// Thin delegating wrapper over the Instance form, for callers holding loose
-/// (jobs, machines) pairs. Instance validation failures (machines == 0, a job
-/// with release >= deadline) come back as kInvalidInstance instead of the
-/// constructor's exception, matching the facade's no-throw contract.
-[[nodiscard]] SolveResult solve(std::vector<Job> jobs, std::size_t machines,
-                                const SolveOptions& options = SolveOptions{});
-
 }  // namespace mpss

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "mpss/core/instance_json.hpp"
 #include "mpss/core/job.hpp"
 #include "mpss/workload/generators.hpp"
-#include "mpss/workload/traces.hpp"
 #include "mpss/workload/transform.hpp"
 
 #ifndef MPSS_DATA_DIR
@@ -20,15 +20,15 @@
 
 namespace mpss::corpus {
 
-/// Path of entry `name`'s file with `suffix` (".instance.csv", ".golden.csv", ...).
+/// Path of entry `name`'s file with `suffix` (".instance.json", ".golden.csv").
 inline std::string path(const std::string& name,
-                        const std::string& suffix = ".instance.csv") {
+                        const std::string& suffix = ".instance.json") {
   return std::string(MPSS_DATA_DIR) + "/" + name + suffix;
 }
 
-/// Sorted names of the entries, one per "<name>.instance.csv".
+/// Sorted names of the entries, one per "<name>.instance.json".
 inline std::vector<std::string> names() {
-  const std::string suffix = ".instance.csv";
+  const std::string suffix = ".instance.json";
   std::vector<std::string> names;
   for (const auto& entry : std::filesystem::directory_iterator(MPSS_DATA_DIR)) {
     const std::string file = entry.path().filename().string();

@@ -126,14 +126,12 @@ TEST(ApiSurface, EverySubsystemReachableThroughUmbrellaHeader) {
   (void)engine_name(Engine::kFast);
   (void)solve_status_name(facade.status);
 
-  // workloads & traces
+  // workloads
   (void)generate_uniform({.jobs = 2, .machines = 1, .horizon = 4, .max_window = 2,
                           .max_work = 2}, 1);
   (void)generate_heavy_tail({.jobs = 2, .machines = 1, .horizon = 8, .shape = 1.5,
                              .max_work = 4}, 1);
   (void)analyze(instance);
-  (void)instance_from_csv(instance_to_csv(instance));
-  (void)schedule_from_csv(schedule_to_csv(optimal.schedule));
   (void)shift_time(instance, Q(1));
   (void)scale_time(instance, Q(2));
   (void)scale_work(instance, Q(2));

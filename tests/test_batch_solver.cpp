@@ -141,8 +141,10 @@ TEST(BatchSolver, ExpiredDeadlineComesBackAsStatus) {
   // deterministic regardless of solver speed.
   BatchSolver service(BatchSolverOptions{.threads = 1, .queue_capacity = 0,
                                          .cache_capacity = 4});
+  CancelToken token;
+  token.set_deadline(CancelToken::Clock::now() - std::chrono::milliseconds(1));
   SolveRequest request{test_instance(1, 24, 3), SolveOptions{}};
-  request.deadline = CancelToken::Clock::now() - std::chrono::milliseconds(1);
+  request.options.cancel = &token;
   SolveResult result = service.submit(std::move(request)).future.get();
   EXPECT_EQ(result.status, SolveStatus::kDeadlineExceeded);
   EXPECT_FALSE(result.ok());

@@ -16,7 +16,6 @@
 #include "mpss/core/instance_json.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/util/csv.hpp"
-#include "mpss/workload/traces.hpp"
 
 namespace mpss {
 namespace {
@@ -75,15 +74,12 @@ TEST_P(Corpus, ForcedLimbPathIsBitIdenticalToTheSmallPath) {
       << GetParam();
 }
 
-// make_corpus writes every instance twice: the CSV the goldens key off and a
-// canonical-JSON sibling (the protocol test vectors). The two must decode to
-// the same jobs/machines, and the JSON must be in canonical form.
-TEST_P(Corpus, JsonSiblingMatchesTheCsvInstance) {
-  const std::string json_path = corpus::path(GetParam(), ".instance.json");
-  Instance from_csv = corpus::load(GetParam());
-  Instance from_json = load_instance(json_path);
-  EXPECT_EQ(from_csv, from_json) << GetParam();
-  EXPECT_EQ(read_file(json_path), instance_to_json(from_json) + "\n") << GetParam();
+// The stored instances are the canonical JSON documents (the wire protocol's
+// test vectors): re-encoding one reproduces its file byte for byte.
+TEST_P(Corpus, InstanceFileIsCanonicalJson) {
+  EXPECT_EQ(read_file(corpus::path(GetParam())),
+            instance_to_json(corpus::load(GetParam())) + "\n")
+      << GetParam();
 }
 
 TEST(CorpusMeta, CorpusIsNonEmpty) { EXPECT_GE(corpus::names().size(), 8u); }

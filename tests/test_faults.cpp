@@ -19,9 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_proxy.hpp"
 #include "mpss/net/client.hpp"
 #include "mpss/net/deadline.hpp"
-#include "mpss/net/fault_proxy.hpp"
 #include "mpss/net/framing.hpp"
 #include "mpss/net/metrics_http.hpp"
 #include "mpss/net/protocol.hpp"

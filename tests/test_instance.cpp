@@ -10,7 +10,6 @@
 #include "mpss/core/power.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/workload/generators.hpp"
-#include "mpss/workload/traces.hpp"
 
 namespace mpss {
 namespace {
@@ -180,15 +179,13 @@ TEST(InstanceJson, GeneratedInstancesRoundTrip) {
   }
 }
 
-TEST(InstanceJson, TraceLayerDispatchesOnJsonSuffix) {
+TEST(InstanceJson, FileRoundTripKeepsThePowerSpec) {
   Instance original = fractional_instance().with_power(PowerSpec::alpha(2.0));
   std::string path = testing::TempDir() + "mpss_instance_roundtrip.json";
-  save_instance(original, path);  // suffix picks the JSON codec
+  save_instance(original, path);
   EXPECT_EQ(load_instance(path), original);
-  // The CSV path has no column for the power spec; JSON is the lossless form.
-  std::string csv_path = testing::TempDir() + "mpss_instance_roundtrip.csv";
-  save_instance(original, csv_path);
-  EXPECT_EQ(load_instance(csv_path).power(), PowerSpec{});
+  EXPECT_EQ(load_instance(path).power(), PowerSpec::alpha(2.0));
+  EXPECT_THROW((void)load_instance("/nonexistent/path.json"), std::runtime_error);
 }
 
 // ---- facade integration ----------------------------------------------------
@@ -208,28 +205,6 @@ TEST(InstancePower, SolveUsesTheInstanceSpec) {
   SolveOptions options;
   options.power = &p;
   EXPECT_DOUBLE_EQ(solve(square, options).energy, cube_result.energy);
-}
-
-TEST(InstancePower, LooseJobsWrapperMatchesInstanceForm) {
-  Instance instance = small_instance();
-  SolveResult via_instance = solve(instance);
-  SolveResult via_jobs = solve(
-      {Job{Q(0), Q(8), Q(6)}, Job{Q(2), Q(4), Q(6)}, Job{Q(2), Q(4), Q(4)}}, 2);
-  ASSERT_TRUE(via_instance.ok());
-  ASSERT_TRUE(via_jobs.ok());
-  EXPECT_EQ(via_instance.energy, via_jobs.energy);
-}
-
-TEST(InstancePower, LooseJobsWrapperReportsInvalidInstanceAsStatus) {
-  // machines == 0 and release >= deadline throw from the Instance constructor;
-  // the facade wrapper must convert both to kInvalidInstance + error_detail.
-  SolveResult no_machines = solve({Job{Q(0), Q(1), Q(1)}}, 0);
-  EXPECT_EQ(no_machines.status, SolveStatus::kInvalidInstance);
-  EXPECT_FALSE(no_machines.error_detail.empty());
-
-  SolveResult bad_window = solve({Job{Q(2), Q(1), Q(1)}}, 1);
-  EXPECT_EQ(bad_window.status, SolveStatus::kInvalidInstance);
-  EXPECT_FALSE(bad_window.error_detail.empty());
 }
 
 TEST(InstancePower, ErrorDetailIsEmptyExactlyWhenOk) {

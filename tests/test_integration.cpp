@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "mpss/core/instance_json.hpp"
 #include "mpss/core/optimal.hpp"
 #include "mpss/core/yds.hpp"
 #include "mpss/lp/lp_baseline.hpp"
@@ -15,7 +16,6 @@
 #include "mpss/online/oa.hpp"
 #include "mpss/util/thread_pool.hpp"
 #include "mpss/workload/generators.hpp"
-#include "mpss/workload/traces.hpp"
 
 namespace mpss {
 namespace {
@@ -75,7 +75,7 @@ TEST(Integration, TraceRoundTripPreservesAllEnergies) {
   Instance original = generate_bursty({.bursts = 3, .jobs_per_burst = 4,
                                        .machines = 2, .horizon = 18,
                                        .burst_window = 4, .max_work = 5}, 31);
-  Instance reloaded = instance_from_csv(instance_to_csv(original));
+  Instance reloaded = instance_from_json(instance_to_json(original));
   AlphaPower p(3.0);
   EXPECT_DOUBLE_EQ(optimal_energy(original, p), optimal_energy(reloaded, p));
   EXPECT_DOUBLE_EQ(oa_energy(original, p), oa_energy(reloaded, p));

@@ -357,14 +357,14 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
       }
       const OptimalResult& result = *solved;
 
-      // SolveStats mirrors the result's own structural fields.
+      // SolveStats mirrors the result's own phase structure.
       EXPECT_EQ(result.stats.phases, result.phases.size());
-      EXPECT_EQ(result.stats.flow_computations, result.flow_computations);
       EXPECT_GT(result.stats.wall_seconds, 0.0);
       // Every round that does not close a phase removes at least one
       // candidate: Lemma 4 removes every job it excludes at once, the
       // ablation exactly one.
-      const std::size_t removal_rounds = result.flow_computations - result.phases.size();
+      const std::size_t removal_rounds =
+          result.stats.flow_computations - result.phases.size();
       EXPECT_LE(removal_rounds, result.stats.candidate_removals);
       if (mode == Mode::kRandomRemoval) {
         ++ablated_runs;
@@ -372,13 +372,13 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
         EXPECT_EQ(result.stats.candidate_removals, removal_rounds);
       }
 
-      // flow_computations == sum of per-phase rounds, each phase >= 1 round.
+      // stats.flow_computations == sum of per-phase rounds, each phase >= 1.
       std::size_t total_rounds = 0;
       for (const PhaseInfo& phase : result.phases) {
         EXPECT_GE(phase.rounds, 1u);
         total_rounds += phase.rounds;
       }
-      EXPECT_EQ(total_rounds, result.flow_computations);
+      EXPECT_EQ(total_rounds, result.stats.flow_computations);
 
       // The trace tells the same story: one kFlowRound per feasibility test
       // and one kPhaseEnd per phase, and per phase a kCandidateRemoved for
@@ -396,7 +396,7 @@ TEST(TelemetryDifferential, TraceMatchesPhaseStructureOnCorpus) {
       EXPECT_EQ(exact_count(EventKind::kSolveEnd), 1);
       EXPECT_EQ(exact_count(EventKind::kPhaseEnd), std::ssize(result.phases));
       EXPECT_EQ(exact_count(EventKind::kFlowRound),
-                static_cast<std::ptrdiff_t>(result.flow_computations));
+                static_cast<std::ptrdiff_t>(result.stats.flow_computations));
       EXPECT_EQ(exact_count(EventKind::kCandidateRemoved),
                 static_cast<std::ptrdiff_t>(result.stats.candidate_removals));
       const std::size_t phases = result.phases.size();

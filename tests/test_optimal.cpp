@@ -159,9 +159,9 @@ TEST(Optimal, FlowComputationCountIsPolynomial) {
   Instance instance = generate_uniform({.jobs = 20, .machines = 3, .horizon = 30,
                                         .max_window = 12, .max_work = 8}, 5);
   auto result = optimal_schedule(instance);
-  EXPECT_LE(result.flow_computations,
+  EXPECT_LE(result.stats.flow_computations,
             instance.size() * instance.size() + instance.size());
-  EXPECT_GE(result.flow_computations, result.phases.size());
+  EXPECT_GE(result.stats.flow_computations, result.phases.size());
 }
 
 TEST(Optimal, SpeedOfUnknownJobIsZero) {

@@ -79,7 +79,7 @@ TEST(GuidedExact, MatchesThePlainLoopInOneFlowPerPhaseOnCorpusAndGeneratedSet) {
     const OptimalResult plain = optimal_schedule_hinted(instance, all_zero_hint(instance));
     EXPECT_EQ(fallbacks(guided), 0u) << tag;
     EXPECT_EQ(guided_phases(guided), guided.phases.size()) << tag;
-    EXPECT_EQ(guided.flow_computations, guided.phases.size()) << tag;
+    EXPECT_EQ(guided.stats.flow_computations, guided.phases.size()) << tag;
     EXPECT_EQ(fallbacks(plain), 0u) << tag;
     expect_same_result(guided, plain, tag);
   });
@@ -121,14 +121,15 @@ TEST(GuidedExact, MatchesThePlainLoopAtServingSize) {
     const OptimalResult guided = optimal_schedule(instance);
     const OptimalResult plain = optimal_schedule_hinted(instance, all_zero_hint(instance));
     EXPECT_EQ(fallbacks(guided), 0u) << tag;
-    EXPECT_EQ(guided.flow_computations, guided.phases.size()) << tag;
+    EXPECT_EQ(guided.stats.flow_computations, guided.phases.size()) << tag;
     EXPECT_EQ(fallbacks(plain), 0u) << tag;
     expect_same_result(guided, plain, tag);
     std::optional<std::string> failure = certify_optimal(instance, guided.schedule);
     EXPECT_FALSE(failure.has_value()) << tag << ": " << *failure;
     EXPECT_EQ(optimal_schedule_fast(instance).job_phase, plain.job_phase) << tag;
     // Some round removes more than one job: Lemma 4 excludes them all at once.
-    EXPECT_GT(plain.stats.candidate_removals, plain.flow_computations - plain.phases.size())
+    EXPECT_GT(plain.stats.candidate_removals,
+              plain.stats.flow_computations - plain.phases.size())
         << tag;
   }
 }

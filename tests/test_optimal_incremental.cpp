@@ -84,7 +84,7 @@ void expect_warm_start_counters(const obs::SolveStats& stats, const char* engine
 TEST(OptimalIncremental, WarmStartCountersSurfaceThroughStats) {
   Instance instance = removal_heavy_instance();
   auto exact = unguided_schedule(instance);
-  ASSERT_GT(exact.flow_computations, exact.phases.size())
+  ASSERT_GT(exact.stats.flow_computations, exact.phases.size())
       << "precondition: instance must have removal rounds";
   expect_certified(instance, exact.schedule, "removal-heavy");
   expect_warm_start_counters(exact.stats, "exact");

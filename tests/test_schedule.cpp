@@ -3,6 +3,8 @@
 
 #include "mpss/core/schedule.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace mpss {
@@ -84,6 +86,26 @@ TEST(Schedule, EnergyUnderAlphaPower) {
   schedule.add(1, Slice{Q(0), Q(1), Q(2), 1});  // 2^2 * 1 = 4
   AlphaPower p(2.0);
   EXPECT_NEAR(schedule.energy(p), 22.0, 1e-12);
+}
+
+TEST(Schedule, EnergyDoesNotDependOnEarlierReads) {
+  // Slices added out of start order. Summed in insertion order, 2^53 + 1 + 1
+  // rounds back to 2^53; in start order, 1 + 1 + 2^53 is exact. Reading the
+  // machine view or checking the schedule must not move the energy's bits.
+  Schedule schedule(1);
+  schedule.add(0, Slice{Q(10), Q(14), Q(1 << 17), 0});  // (2^17)^3 * 4 = 2^53
+  schedule.add(0, Slice{Q(0), Q(1), Q(1), 1});
+  schedule.add(0, Slice{Q(5), Q(6), Q(1), 2});
+  Instance instance({Job{Q(10), Q(14), Q(1 << 19)}, Job{Q(0), Q(1), Q(1)},
+                     Job{Q(5), Q(6), Q(1)}},
+                    1);
+  AlphaPower cube(3.0);
+  const double before = schedule.energy(cube);
+  EXPECT_EQ(schedule.machine(0).front().start, Q(0));
+  EXPECT_EQ(schedule.energy(cube), before);
+  EXPECT_TRUE(check_schedule(instance, schedule).feasible);
+  EXPECT_EQ(schedule.energy(cube), before);
+  EXPECT_EQ(before, std::ldexp(1.0, 53) + 2.0);
 }
 
 TEST(Schedule, EnergyWithIdleAddsStaticPower) {

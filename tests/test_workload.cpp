@@ -1,11 +1,10 @@
-// Tests for the workload generators (S17) and CSV traces.
+// Tests for the workload generators (S17).
 
 #include "mpss/workload/generators.hpp"
 
 #include <gtest/gtest.h>
 
 #include "mpss/core/optimal.hpp"
-#include "mpss/workload/traces.hpp"
 
 namespace mpss {
 namespace {
@@ -18,8 +17,8 @@ TEST(Workload, UniformShapeAndDeterminism) {
   Instance c = generate_uniform(config, 43);
   EXPECT_EQ(a.size(), 25u);
   EXPECT_EQ(a.machines(), 4u);
-  EXPECT_EQ(instance_to_csv(a), instance_to_csv(b));  // same seed, same instance
-  EXPECT_NE(instance_to_csv(a), instance_to_csv(c));
+  EXPECT_EQ(a, b);  // same seed, same instance
+  EXPECT_NE(a, c);
   EXPECT_TRUE(a.has_integral_times());
   for (const Job& job : a.jobs()) {
     EXPECT_GE(job.release, Q(0));
@@ -148,66 +147,6 @@ TEST(Workload, GeneratorsValidateConfig) {
                                        .max_work = 1}, 1),
                std::invalid_argument);
   EXPECT_THROW((void)generate_avr_adversary(0, 1), std::invalid_argument);
-}
-
-TEST(Traces, CsvRoundTripIsLossless) {
-  Instance original({Job{Q(0), Q(4), Q(2)}, Job{Q(1, 3), Q(5, 2), Q(7, 11)}}, 3);
-  Instance reloaded = instance_from_csv(instance_to_csv(original));
-  EXPECT_EQ(reloaded.machines(), 3u);
-  ASSERT_EQ(reloaded.size(), 2u);
-  for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(reloaded.job(k), original.job(k));
-  }
-}
-
-TEST(Traces, FileRoundTrip) {
-  Instance original = generate_uniform({.jobs = 10, .machines = 2, .horizon = 15,
-                                        .max_window = 6, .max_work = 4}, 21);
-  std::string path = testing::TempDir() + "/mpss_trace_test.csv";
-  save_instance(original, path);
-  Instance reloaded = load_instance(path);
-  EXPECT_EQ(instance_to_csv(reloaded), instance_to_csv(original));
-}
-
-TEST(Traces, ScheduleCsvRoundTripIsLossless) {
-  Schedule original(2);
-  original.add(0, Slice{Q(0), Q(2), Q(3, 2), 0});
-  original.add(1, Slice{Q(1, 3), Q(5, 6), Q(7), 1});
-  Schedule reloaded = schedule_from_csv(schedule_to_csv(original));
-  EXPECT_EQ(reloaded.machines(), 2u);
-  EXPECT_EQ(schedule_to_csv(reloaded), schedule_to_csv(original));
-  EXPECT_EQ(reloaded.machine(1)[0], original.machine(1)[0]);
-}
-
-TEST(Traces, ScheduleFileRoundTrip) {
-  Schedule original(1);
-  original.add(0, Slice{Q(0), Q(1), Q(2), 5});
-  std::string path = testing::TempDir() + "/mpss_schedule_test.csv";
-  save_schedule(original, path);
-  Schedule reloaded = load_schedule(path);
-  EXPECT_EQ(schedule_to_csv(reloaded), schedule_to_csv(original));
-}
-
-TEST(Traces, RejectsMalformedScheduleCsv) {
-  EXPECT_THROW((void)schedule_from_csv(""), std::invalid_argument);
-  EXPECT_THROW((void)schedule_from_csv("machines,1\n"), std::invalid_argument);
-  EXPECT_THROW(
-      (void)schedule_from_csv("machines,1\nmachine,start,end,speed,job\n0,0,1\n"),
-      std::invalid_argument);
-  // Slice on an out-of-range machine is caught by Schedule::add.
-  EXPECT_THROW((void)schedule_from_csv(
-                   "machines,1\nmachine,start,end,speed,job\n3,0,1,1,0\n"),
-               std::invalid_argument);
-}
-
-TEST(Traces, RejectsMalformedCsv) {
-  EXPECT_THROW((void)instance_from_csv(""), std::invalid_argument);
-  EXPECT_THROW((void)instance_from_csv("machines,2\n"), std::invalid_argument);
-  EXPECT_THROW((void)instance_from_csv("machines,2\nrelease,deadline,work\n1,2\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)instance_from_csv("wrong,2\nrelease,deadline,work\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_instance("/nonexistent/path.csv"), std::runtime_error);
 }
 
 }  // namespace

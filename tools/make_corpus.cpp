@@ -1,16 +1,20 @@
 // Regenerates the golden regression corpus in data/corpus/.
 //
-// For each (family, seed) pair below, writes the instance trace and a golden
-// file recording the EXACT optimal per-job speeds (rational strings). The
-// test suite (tests/test_corpus.cpp) recomputes them and demands exact equality,
-// pinning the offline algorithm's output against future refactors.
+// For each (family, seed) pair below, writes the instance as canonical JSON
+// (core/instance_json.hpp: the codec the wire protocol uses, so the corpus
+// doubles as protocol test vectors) and a golden file recording the EXACT
+// optimal per-job speeds (rational strings). The test suite
+// (tests/test_corpus.cpp) recomputes them and demands exact equality, pinning
+// the offline algorithm's output against future refactors.
 //
 // Usage: tools/make_corpus <output-directory>
 
 #include <fstream>
 #include <iostream>
 
-#include "mpss/mpss.hpp"
+#include "mpss/core/instance_json.hpp"
+#include "mpss/core/optimal.hpp"
+#include "mpss/workload/generators.hpp"
 
 int main(int argc, char** argv) {
   using namespace mpss;
@@ -59,9 +63,6 @@ int main(int argc, char** argv) {
 
   for (const Entry& entry : corpus) {
     std::string base = directory + "/" + entry.name;
-    save_instance(entry.instance, base + ".instance.csv");
-    // Canonical JSON sibling (core/instance_json.hpp): the same codec the wire
-    // protocol uses, so the corpus doubles as protocol test vectors.
     save_instance(entry.instance, base + ".instance.json");
 
     auto result = optimal_schedule(entry.instance);

@@ -69,7 +69,6 @@
 #include "mpss/obs/trace.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/util/cli.hpp"
-#include "mpss/workload/traces.hpp"
 
 namespace {
 
