@@ -114,14 +114,6 @@ SolveClient::SolveClient(const std::string& host, std::uint16_t port,
   }
 }
 
-SolveClient::SolveClient(const std::string& host, std::uint16_t port,
-                         std::size_t max_frame_bytes)
-    : SolveClient(host, port, [max_frame_bytes] {
-        SolveClientOptions options;
-        options.max_frame_bytes = max_frame_bytes;
-        return options;
-      }()) {}
-
 void SolveClient::reconnect(const Deadline& budget) {
   fd_.close();
   std::int64_t timeout = budget.clamp_ms(options_.connect_timeout_ms);

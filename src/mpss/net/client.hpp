@@ -92,10 +92,6 @@ class SolveClient {
   SolveClient(const std::string& host, std::uint16_t port,
               SolveClientOptions options = SolveClientOptions{});
 
-  /// Back-compat shape: default options with a custom frame cap.
-  SolveClient(const std::string& host, std::uint16_t port,
-              std::size_t max_frame_bytes);
-
   SolveClient(SolveClient&&) noexcept = default;
   SolveClient& operator=(SolveClient&&) noexcept = default;
   SolveClient(const SolveClient&) = delete;

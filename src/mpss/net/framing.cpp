@@ -10,6 +10,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
+
+#include "mpss/obs/registry.hpp"
 
 namespace mpss::net {
 namespace {
@@ -126,17 +129,6 @@ struct FrameRead {
 };
 
 }  // namespace
-
-const char* frame_error_kind_name(FrameError::Kind kind) {
-  switch (kind) {
-    case FrameError::Kind::kIo: return "io";
-    case FrameError::Kind::kTruncated: return "truncated";
-    case FrameError::Kind::kOversize: return "oversize";
-    case FrameError::Kind::kTimeout: return "timeout";
-    case FrameError::Kind::kReset: return "reset";
-  }
-  return "io";
-}
 
 ScopedFd& ScopedFd::operator=(ScopedFd&& other) noexcept {
   if (this != &other) {
@@ -292,6 +284,17 @@ ScopedFd bind_listen_ipv4(const std::string& host, std::uint16_t port,
     throw std::runtime_error(name + ": listen failed: " + std::strerror(errno));
   }
   return fd;
+}
+
+ScopedFd accept_connection(int listen_fd, const std::atomic<bool>& closed) {
+  for (;;) {
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) return ScopedFd(fd);
+    if (closed.load()) return ScopedFd();
+    if (errno == EINTR) continue;
+    obs::Registry::global().add("net.accept_errors");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 }
 
 std::uint16_t bound_port(int fd, std::string_view who) {

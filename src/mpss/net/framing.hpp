@@ -23,6 +23,7 @@
 // on a fresh connection); kReset is a torn connection (ECONNRESET/EPIPE);
 // kOversize is a protocol violation that retrying cannot fix.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -57,10 +58,6 @@ class FrameError : public std::runtime_error {
  private:
   Kind kind_;
 };
-
-/// Stable lowercase name ("io", "truncated", "oversize", "timeout", "reset")
-/// for log lines and test assertions.
-[[nodiscard]] const char* frame_error_kind_name(FrameError::Kind kind);
 
 /// RAII file descriptor (sockets here, but any fd works). Movable, not
 /// copyable; close() is idempotent.
@@ -133,6 +130,14 @@ void set_send_timeout(int fd, std::int64_t ms, std::string_view who);
 [[nodiscard]] ScopedFd bind_listen_ipv4(const std::string& host,
                                         std::uint16_t port,
                                         std::string_view who);
+
+/// The accept step of the daemon's and the /metrics listener's acceptor
+/// threads: the next connected socket, or an invalid ScopedFd once `closed`
+/// (set by the owner before it shuts the listener down) reads true. Any other
+/// failure (EMFILE, ENFILE, ECONNABORTED, ENOBUFS, ...) bumps the
+/// net.accept_errors counter and is retried after about 10 ms; EINTR at once.
+[[nodiscard]] ScopedFd accept_connection(int listen_fd,
+                                         const std::atomic<bool>& closed);
 
 /// The local port a socket is bound to (the ephemeral one after binding port
 /// 0). Throws std::runtime_error naming `who` when getsockname fails.

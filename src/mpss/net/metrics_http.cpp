@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <string_view>
@@ -93,6 +94,7 @@ class MetricsHttpServer::Impl {
 
   ~Impl() {
     // SHUT_RDWR pops the acceptor out of accept(); close after the join.
+    closed_.store(true);
     ::shutdown(listen_fd_.get(), SHUT_RDWR);
     if (acceptor_.joinable()) acceptor_.join();
   }
@@ -102,12 +104,8 @@ class MetricsHttpServer::Impl {
  private:
   void accept_loop() {
     for (;;) {
-      int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-      if (raw < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener shut down
-      }
-      ScopedFd fd(raw);
+      ScopedFd fd = accept_connection(listen_fd_.get(), closed_);
+      if (!fd.valid()) return;  // listener shut down
       serve(fd.get());
       // ScopedFd closes; Connection: close is the whole lifecycle.
     }
@@ -147,6 +145,7 @@ class MetricsHttpServer::Impl {
   ScopedFd listen_fd_;
   std::uint16_t port_;
   std::int64_t head_timeout_ms_;
+  std::atomic<bool> closed_{false};  // set before the listener shuts down
   std::thread acceptor_;
 };
 

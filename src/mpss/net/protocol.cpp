@@ -233,7 +233,6 @@ json::Value solve_options_to_json_value(const SolveOptions& options) {
   json::Value out;
   out.set("engine", engine_name(options.engine));
   out.set("fast_epsilon", options.fast_epsilon);
-  out.set("avr_peeling", options.avr.enable_peeling);
   out.set("lp_grid", options.lp_grid);
   out.set("lp_max_speed_hint", options.lp_max_speed_hint);
   return out;
@@ -251,9 +250,6 @@ SolveOptions solve_options_from_json_value(const json::Value& value) {
   }
   if (const json::Value* v = value.find("fast_epsilon")) {
     options.fast_epsilon = v->as_double();
-  }
-  if (const json::Value* v = value.find("avr_peeling")) {
-    options.avr.enable_peeling = v->as_bool();
   }
   if (const json::Value* v = value.find("lp_grid")) {
     options.lp_grid = static_cast<std::size_t>(

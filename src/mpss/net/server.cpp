@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -61,16 +60,17 @@ class SolveServer::Impl {
     bool cache_hit = false;           // any solve served from the result cache
   };
 
+  /// One accepted socket, shared by a detached reader/writer thread pair (each
+  /// holds a shared_ptr). The writer tears it down (close_connection).
   struct Connection {
     ScopedFd fd;
-    std::thread reader;
-    std::thread writer;
 
     std::mutex mutex;
     std::condition_variable entry_ready;
     std::condition_variable entry_popped;  // writer pops -> reader may enqueue
     std::deque<Entry> pending;  // writer consumes the front; reader appends
     bool reader_done = false;
+    bool client_closed = false;  // the reader saw the peer leave, not a drain
     /// Set (before SHUT_RD) by the graceful-drain path so the reader's EOF is
     /// not mistaken for a client disconnect -- drained requests keep running.
     std::atomic<bool> draining{false};
@@ -85,6 +85,7 @@ class SolveServer::Impl {
     // zero from the first scrape, instead of only after the first incident.
     obs::Registry::global().add("net.retries", 0);
     obs::Registry::global().add("net.timeouts", 0);
+    obs::Registry::global().add("net.accept_errors", 0);
     acceptor_ = std::thread([this] { accept_loop(); });
     supervisor_ = std::thread([this] { supervise(); });
   }
@@ -107,8 +108,9 @@ class SolveServer::Impl {
   mutable std::mutex mutex_;
   std::condition_variable shutdown_cv_;
   std::condition_variable done_cv_;
-  std::list<std::shared_ptr<Connection>> connections_;
-  std::list<std::shared_ptr<Connection>> zombies_;  // closed; joined at shutdown
+  std::condition_variable connections_closed_;  // the live list emptied
+  std::list<std::shared_ptr<Connection>> connections_;  // live: socket open
+  std::atomic<bool> listener_closed_{false};  // set before the listener shuts
   bool shutdown_requested_ = false;
   bool done_ = false;
 
@@ -128,30 +130,23 @@ class SolveServer::Impl {
 
   void accept_loop() {
     for (;;) {
-      int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener shut down (or a fatal accept error): stop serving
-      }
-      auto connection = std::make_shared<Connection>();
-      connection->fd = ScopedFd(fd);
+      ScopedFd fd = accept_connection(listen_fd_.get(), listener_closed_);
+      if (!fd.valid()) return;  // the supervisor shut the listener down
       if (options_.write_timeout_ms > 0) {
         try {
-          set_send_timeout(fd, options_.write_timeout_ms, "SolveServer");
+          set_send_timeout(fd.get(), options_.write_timeout_ms, "SolveServer");
         } catch (const std::runtime_error&) {
           continue;  // a dying fd; ScopedFd closes it, keep accepting
         }
       }
-      {
-        std::scoped_lock lock(mutex_);
-        if (shutdown_requested_) continue;  // ScopedFd closes the late arrival
-        obs::Registry::global().add("net.connections");
-        connection->reader = std::thread(
-            [this, connection] { read_loop(*connection); });
-        connection->writer = std::thread(
-            [this, connection] { write_loop(*connection); });
-        connections_.push_back(connection);
-      }
+      auto connection = std::make_shared<Connection>();
+      connection->fd = std::move(fd);
+      std::scoped_lock lock(mutex_);
+      if (shutdown_requested_) continue;  // ScopedFd closes the late arrival
+      obs::Registry::global().add("net.connections");
+      connections_.push_back(connection);
+      std::thread([this, connection] { read_loop(*connection); }).detach();
+      std::thread([this, connection] { write_loop(*connection); }).detach();
     }
   }
 
@@ -164,40 +159,23 @@ class SolveServer::Impl {
       shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
     }
     // Stop the listener; SHUT_RDWR pops the acceptor out of accept().
+    listener_closed_.store(true);
     ::shutdown(listen_fd_.get(), SHUT_RDWR);
     if (acceptor_.joinable()) acceptor_.join();
     listen_fd_.close();
 
-    // Drain every connection: half-close the read side (the reader sees a
-    // clean EOF, flagged as draining so nothing is cancelled), then join the
-    // pair -- the writer exits only after the pending FIFO is empty, i.e.
-    // after every accepted request resolved and its response was written.
-    std::list<std::shared_ptr<Connection>> connections;
+    // Drain every live connection: half-close the read side (the reader sees
+    // a clean EOF, flagged as draining so nothing is cancelled), then wait for
+    // the live list to empty -- a writer leaves it only once every accepted
+    // request resolved and its response was written. Listed sockets are open
+    // (close_connection closes under this lock), so SHUT_RD hits no stranger.
     {
-      std::scoped_lock lock(mutex_);
-      connections.swap(connections_);
-    }
-    for (const auto& connection : connections) {
-      connection->draining.store(true, std::memory_order_release);
-      ::shutdown(connection->fd.get(), SHUT_RD);
-    }
-    for (const auto& connection : connections) {
-      if (connection->reader.joinable()) connection->reader.join();
-      if (connection->writer.joinable()) connection->writer.join();
-    }
-    // Zombies (client-closed connections) exited on their own; a reader may
-    // still be inside prune(), so keep draining the list until it settles.
-    for (;;) {
-      std::list<std::shared_ptr<Connection>> zombies;
-      {
-        std::scoped_lock lock(mutex_);
-        zombies.swap(zombies_);
+      std::unique_lock lock(mutex_);
+      for (const auto& connection : connections_) {
+        connection->draining.store(true, std::memory_order_release);
+        ::shutdown(connection->fd.get(), SHUT_RD);
       }
-      if (zombies.empty()) break;
-      for (const auto& connection : zombies) {
-        if (connection->reader.joinable()) connection->reader.join();
-        if (connection->writer.joinable()) connection->writer.join();
-      }
+      connections_closed_.wait(lock, [&] { return connections_.empty(); });
     }
     solver_.shutdown();
     {
@@ -250,7 +228,7 @@ class SolveServer::Impl {
     }
     if (frame_error) {
       // Sever the socket both ways so the peer observes the cutoff promptly
-      // (the fd itself lives until the connection object dies at shutdown).
+      // (the fd itself is closed by the writer once the FIFO drains).
       // The stream is beyond resync, so undelivered responses are already
       // lost; the writer keeps resolving futures and its writes fail fast.
       ::shutdown(connection.fd.get(), SHUT_RDWR);
@@ -275,28 +253,27 @@ class SolveServer::Impl {
                   cancelled);
       }
     }
+    // Past this point the writer may finish and the server may be destroyed:
+    // the reader touches only the Connection (which its shared_ptr keeps).
     {
       std::scoped_lock lock(connection.mutex);
       connection.reader_done = true;
+      connection.client_closed = !draining;
     }
     connection.entry_ready.notify_one();
-    if (!draining) prune(connection);
   }
 
-  /// Moves a client-closed connection to the zombie list so
-  /// connection_count() tracks live peers. The supervisor joins zombies at
-  /// shutdown (their threads exit on their own long before that); detaching
-  /// would let a late writer outlive the Impl it captures.
-  void prune(Connection& connection) {
+  /// The one teardown path, run by a connection's writer once its reader is
+  /// done and its FIFO drained. It notifies under the lock, so the supervisor's
+  /// wait (and the Impl's destruction) comes after this thread lets go of it;
+  /// the writer touches no Impl member afterwards.
+  void close_connection(Connection& connection) {
     std::scoped_lock lock(mutex_);
-    for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-      if (it->get() == &connection) {
-        zombies_.push_back(std::move(*it));
-        connections_.erase(it);
-        obs::Registry::global().add("net.disconnects");
-        return;
-      }
-    }
+    connection.fd.close();
+    connections_.remove_if(
+        [&](const std::shared_ptr<Connection>& c) { return c.get() == &connection; });
+    if (connection.client_closed) obs::Registry::global().add("net.disconnects");
+    if (connections_.empty()) connections_closed_.notify_all();
   }
 
   void handle_frame(Connection& connection, std::string_view payload) {
@@ -438,7 +415,7 @@ class SolveServer::Impl {
         connection.entry_ready.wait(lock, [&] {
           return connection.reader_done || !connection.pending.empty();
         });
-        if (connection.pending.empty()) return;  // reader done, FIFO drained
+        if (connection.pending.empty()) break;  // reader done, FIFO drained
         front = &connection.pending.front();
       }
       Entry& entry = *front;
@@ -490,6 +467,7 @@ class SolveServer::Impl {
       }
       connection.entry_popped.notify_one();
     }
+    close_connection(connection);
   }
 
   /// Resolves an entry into its wire response. Every future is consumed even
@@ -603,11 +581,6 @@ SolveServer::SolveServer(SolveServerOptions options)
 SolveServer::~SolveServer() = default;
 
 std::uint16_t SolveServer::port() const { return impl_->port_; }
-
-std::size_t SolveServer::connection_count() const {
-  std::scoped_lock lock(impl_->mutex_);
-  return impl_->connections_.size();
-}
 
 BatchSolver& SolveServer::solver() { return impl_->solver_; }
 

@@ -3,7 +3,7 @@
 //
 // SolveServer listens on a loopback TCP socket and speaks the framed JSON
 // protocol of net/protocol.hpp. One acceptor thread hands each connection to a
-// reader/writer thread pair:
+// detached reader/writer thread pair:
 //
 //   * the reader decodes frames and blocking-submits into the embedded
 //     BatchSolver, so the service's bounded admission queue backpressures the
@@ -17,10 +17,13 @@
 // deadlines travel as request hints, the LRU result cache is shared across
 // connections, and a client that disconnects mid-flight has its outstanding
 // solves cancelled through per-request CancelTokens (cancellation on
-// disconnect). Graceful shutdown -- shutdown(), the destructor, or a client's
-// "shutdown" verb -- stops the listener, half-closes every connection's read
-// side, and then resolves and writes every already-accepted request before the
-// threads join: no accepted future is ever dropped.
+// disconnect). Teardown has one path: once the reader is done and the writer
+// has drained the FIFO, the writer closes the socket and the connection leaves
+// the live list. Graceful shutdown -- shutdown(), the destructor, or a client's
+// "shutdown" verb -- stops the listener, half-closes every live connection's
+// read side, and waits for that list to empty, so every already-accepted
+// request is resolved and written first: no accepted future is ever dropped.
+// A failed accept() is counted (net.accept_errors) and retried.
 //
 // Robustness (S48): readers run under per-connection read deadlines -- an
 // optional idle timeout between requests and a frame timeout from a request's
@@ -102,17 +105,14 @@ class SolveServer {
   /// The bound port (the ephemeral one when options.port was 0).
   [[nodiscard]] std::uint16_t port() const;
 
-  /// Connections currently open. Advisory, like BatchSolver::queue_depth().
-  [[nodiscard]] std::size_t connection_count() const;
-
   /// The embedded service, for callers that want to share its cache stats or
   /// queue depth with their own telemetry.
   [[nodiscard]] BatchSolver& solver();
 
   /// Begins a graceful shutdown and returns once it completes: the listener
   /// closes, every accepted request resolves and its response is written (to
-  /// peers still reading), and all threads join. Idempotent; a client's
-  /// "shutdown" verb triggers the same sequence.
+  /// peers still reading), and every connection's socket is closed.
+  /// Idempotent; a client's "shutdown" verb triggers the same sequence.
   void shutdown();
 
   /// Blocks until a shutdown (from any source) has completed. The daemon

@@ -1,8 +1,6 @@
 #include "mpss/obs/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +8,7 @@
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/span.hpp"
 #include "mpss/util/error.hpp"
+#include "mpss/util/json.hpp"
 
 namespace mpss::obs {
 namespace {
@@ -21,199 +20,25 @@ constexpr const char* kKindNames[] = {
 };
 constexpr std::size_t kKindCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
 
-/// Round-trippable double formatting for the JSON payloads.
-std::string format_double(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
+/// One JSONL object as an event: integer fields through as_u64 (exact, and
+/// never a negative or out-of-range number through a cast), absent keys left
+/// at their defaults, unknown keys of any type ignored.
+TraceEvent event_from_json(const json::Value& line) {
+  TraceEvent event;
+  for (const auto& [key, value] : line.as_object()) {
+    if (key == "seq") event.seq = value.as_u64();
+    else if (key == "kind") event.kind = event_kind_from_name(value.as_string());
+    else if (key == "label") event.label = value.as_string();
+    else if (key == "a") event.a = value.as_u64();
+    else if (key == "b") event.b = value.as_u64();
+    else if (key == "span") event.span = value.as_u64();
+    else if (key == "value") event.value = value.as_double();
+    else if (key == "t") event.t_seconds = value.as_double();
+    else if (key == "trace") event.trace = value.as_u64();
+    else if (key == "rparent") event.remote_parent = value.as_u64();
+  }
+  return event;
 }
-
-/// Labels are dotted identifiers by convention, but a sink must not emit
-/// broken JSON for any input: quotes/backslashes and the common control
-/// characters get short escapes, remaining control characters \u00XX, and
-/// multi-byte UTF-8 passes through untouched.
-void append_json_string(std::string& out, std::string_view text) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Flat one-line JSON object scanner: extracts string and number fields. Only
-/// the subset to_jsonl() produces is understood, which is all the parser
-/// promises.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : text_(line) {}
-
-  TraceEvent parse() {
-    TraceEvent event;
-    skip_space();
-    expect('{');
-    skip_space();
-    if (peek() == '}') {
-      ++pos_;
-      return event;
-    }
-    for (;;) {
-      std::string key = parse_string();
-      skip_space();
-      expect(':');
-      skip_space();
-      if (peek() == '"') {
-        std::string value = parse_string();
-        if (key == "kind") {
-          event.kind = event_kind_from_name(value);
-        } else if (key == "label") {
-          event.label = std::move(value);
-        }  // unknown string keys ignored
-      } else {
-        // Integer fields go through an exact u64 parse: trace ids use the full
-        // 64-bit range, which a double round trip would silently truncate.
-        std::string_view token = number_token();
-        if (key == "a") {
-          event.a = to_u64(token);
-        } else if (key == "b") {
-          event.b = to_u64(token);
-        } else if (key == "seq") {
-          event.seq = to_u64(token);
-        } else if (key == "span") {
-          event.span = to_u64(token);
-        } else if (key == "trace") {
-          event.trace = to_u64(token);
-        } else if (key == "rparent") {
-          event.remote_parent = to_u64(token);
-        } else if (key == "value") {
-          event.value = to_double(token);
-        } else if (key == "t") {
-          event.t_seconds = to_double(token);
-        }  // unknown numeric keys ignored
-      }
-      skip_space();
-      if (peek() == ',') {
-        ++pos_;
-        skip_space();
-        continue;
-      }
-      expect('}');
-      return event;
-    }
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument(std::string("parse_trace_jsonl: ") + what + ": " +
-                                std::string(text_));
-  }
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void expect(char c) {
-    if (peek() != c) fail("malformed line");
-    ++pos_;
-  }
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': out += parse_unicode_escape(); break;
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-  /// Decodes the 4 hex digits after "\u" into UTF-8 (BMP code points; the
-  /// encoder only produces \u00XX, but accepting the full range is free).
-  std::string parse_unicode_escape() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      code <<= 4;
-      if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("bad \\u escape");
-    }
-    std::string out;
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-    return out;
-  }
-  /// The raw token of the next JSON number (validated lazily by to_u64 /
-  /// to_double, which know the target type's exact grammar).
-  std::string_view number_token() {
-    std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    return text_.substr(start, pos_ - start);
-  }
-  double to_double(std::string_view token) const {
-    double value = 0.0;
-    auto result = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (result.ec != std::errc{}) fail("bad number");
-    return value;
-  }
-  std::uint64_t to_u64(std::string_view token) const {
-    std::uint64_t value = 0;
-    auto result = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (result.ec == std::errc{} && result.ptr == token.data() + token.size()) {
-      return value;
-    }
-    // Hand-edited traces may write integral fields as 1e3 or 2.0; accept them
-    // with double precision rather than rejecting the line.
-    return static_cast<std::uint64_t>(to_double(token));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -299,52 +124,41 @@ bool JsonlSink::ok() const {
   return !(out_->bad() || out_->fail());
 }
 
-std::string json_quoted(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  append_json_string(out, text);
-  return out;
-}
-
 std::string to_jsonl(const TraceEvent& event) {
-  std::string out = "{\"seq\":" + std::to_string(event.seq) + ",\"kind\":\"" +
-                    event_kind_name(event.kind) + "\",\"label\":";
-  append_json_string(out, event.label);
-  out += ",\"a\":" + std::to_string(event.a);
-  out += ",\"b\":" + std::to_string(event.b);
-  out += ",\"span\":" + std::to_string(event.span);
-  out += ",\"value\":" + format_double(event.value);
-  out += ",\"t\":" + format_double(event.t_seconds);
+  json::Value line;
+  line.set("seq", event.seq);
+  line.set("kind", event_kind_name(event.kind));
+  line.set("label", event.label);
+  line.set("a", event.a);
+  line.set("b", event.b);
+  line.set("span", event.span);
+  line.set("value", event.value);
+  line.set("t", event.t_seconds);
   // Emitted only when set: untraced output stays byte-identical to the
   // pre-distributed-tracing encoding (differential tests pin those bytes).
-  if (event.trace != 0) out += ",\"trace\":" + std::to_string(event.trace);
-  if (event.remote_parent != 0) {
-    out += ",\"rparent\":" + std::to_string(event.remote_parent);
-  }
-  out += '}';
-  return out;
+  if (event.trace != 0) line.set("trace", event.trace);
+  if (event.remote_parent != 0) line.set("rparent", event.remote_parent);
+  return json::serialize(line);
 }
 
-std::vector<TraceEvent> parse_trace_jsonl(std::string_view text) {
+std::vector<TraceEvent> parse_trace_jsonl(std::istream& in) {
   std::vector<TraceEvent> events;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    bool blank = line.find_first_not_of(" \t\r") == std::string_view::npos;
-    if (!blank) events.push_back(LineParser(line).parse());
-    if (end == text.size()) break;
-    start = end + 1;
+  std::string line;
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      events.push_back(event_from_json(json::parse(line)));
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument("parse_trace_jsonl: line " + std::to_string(number) +
+                                  ": " + error.what() + ": " + line);
+    }
   }
   return events;
 }
 
-std::vector<TraceEvent> parse_trace_jsonl(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  return parse_trace_jsonl(std::string_view(text));
+std::vector<TraceEvent> parse_trace_jsonl(std::string_view text) {
+  std::istringstream in{std::string(text)};
+  return parse_trace_jsonl(in);
 }
 
 void emit(TraceSink* sink, EventKind kind, std::string_view label, std::uint64_t a,

@@ -140,7 +140,8 @@ class JsonlSink final : public TraceSink {
   mutable std::mutex mutex_;
 };
 
-/// The JSONL encoding of one event (no trailing newline):
+/// The JSONL encoding of one event (no trailing newline), a util/json object
+/// with its members in this order:
 /// {"seq":12,"kind":"flow_round","label":"optimal.round","a":0,"b":3,
 ///  "span":7,"value":0.75,"t":0.00121}
 /// The cross-process fields are emitted only when nonzero -- appended as
@@ -148,14 +149,11 @@ class JsonlSink final : public TraceSink {
 /// byte-identical to the pre-distributed-tracing encoding.
 [[nodiscard]] std::string to_jsonl(const TraceEvent& event);
 
-/// `text` as a double-quoted JSON string literal (escaping quotes, backslashes
-/// and control characters). Shared by the JSONL encoder and the Chrome-trace
-/// exporter in tools/mpss_trace.
-[[nodiscard]] std::string json_quoted(std::string_view text);
-
-/// Parses JSONL produced by JsonlSink back into events. Unknown keys are
-/// ignored (forward compatibility); malformed lines or unknown kinds throw
-/// std::invalid_argument. Blank lines are skipped.
+/// Parses JSONL produced by JsonlSink back into events, one JSON object per
+/// non-blank line. The integer fields (seq, a, b, span, trace, rparent) must be
+/// non-negative integers (json::Value::as_u64); absent keys keep their
+/// defaults and unknown keys of any type are ignored (forward compatibility).
+/// Anything else throws std::invalid_argument naming the line.
 [[nodiscard]] std::vector<TraceEvent> parse_trace_jsonl(std::string_view text);
 [[nodiscard]] std::vector<TraceEvent> parse_trace_jsonl(std::istream& in);
 

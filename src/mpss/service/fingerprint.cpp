@@ -25,10 +25,7 @@ std::optional<std::uint64_t> solve_fingerprint(const Instance& instance,
   // Engine knobs that shape the result. Knobs of engines other than the
   // selected one are folded in too -- simpler, and distinct options structs
   // simply hash apart.
-  state = fnv_mix(state, static_cast<std::uint64_t>(options.exact.removal_policy));
-  state = fnv_mix(state, options.exact.ablation_seed);
   state = fnv_mix(state, options.fast_epsilon);
-  state = fnv_mix(state, static_cast<std::uint64_t>(options.avr.enable_peeling));
   state = fnv_mix(state, static_cast<std::uint64_t>(options.lp_grid));
   state = fnv_mix(state, options.lp_max_speed_hint);
 

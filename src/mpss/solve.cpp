@@ -45,9 +45,8 @@ SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
 
   switch (options.engine) {
     case Engine::kExact: {
-      OptimalOptions exact = options.exact;
-      exact.cancel = options.cancel;
-      OptimalResult r = optimal_schedule(instance, exact, sink);
+      OptimalResult r =
+          optimal_schedule(instance, OptimalOptions{.cancel = options.cancel}, sink);
       result.energy = r.schedule.energy(p);
       result.stats = std::move(r.stats);
       result.schedule = std::move(r.schedule);
@@ -71,7 +70,7 @@ SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
       return result;
     }
     case Engine::kAvr: {
-      AvrResult r = avr_schedule(instance, options.avr, sink);
+      AvrResult r = avr_schedule(instance, AvrOptions{}, sink);
       result.energy = r.schedule.energy(p);
       result.stats = std::move(r.stats);
       result.schedule = std::move(r.schedule);

@@ -80,14 +80,8 @@ struct SolveOptions {
   /// must outlive the call.
   const PowerFunction* power = nullptr;
 
-  /// Exact engine (also the planner inside OA).
-  OptimalOptions exact;
-
   /// Fast engine: relative tolerance of the flow-saturation tests.
   double fast_epsilon = 1e-9;
-
-  /// AVR engine.
-  AvrOptions avr;
 
   /// LP engine: number of speed levels (>= 2) and optional top-speed override.
   std::size_t lp_grid = 8;

@@ -1,5 +1,6 @@
 #include "mpss/util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,10 @@
 
 namespace mpss::json {
 namespace {
+
+/// 2^53: the largest integer up to which every integer is an exact double.
+/// Integers above it are held as std::uint64_t when they fit (json.hpp).
+constexpr std::uint64_t kMaxExactDouble = std::uint64_t{1} << 53;
 
 [[noreturn]] void fail(const char* what, std::size_t offset) {
   throw std::invalid_argument("json: " + std::string(what) + " at offset " +
@@ -211,6 +216,17 @@ class Parser {
     char* end = nullptr;
     double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("invalid number", start);
+    // A plain digit run past 2^53 stays exact when it fits in 64 bits. 2^53
+    // has 16 digits, and 2^53 + 1 rounds down to 2^53, hence the cheap filter.
+    if (token.size() >= 16 && value >= static_cast<double>(kMaxExactDouble)) {
+      std::uint64_t exact = 0;
+      auto [ptr, ec] =
+          std::from_chars(token.data(), token.data() + token.size(), exact);
+      if (ec == std::errc{} && ptr == token.data() + token.size() &&
+          exact > kMaxExactDouble) {
+        return Value(exact);
+      }
+    }
     return Value(value);
   }
 
@@ -250,8 +266,9 @@ void append_number(double value, std::string& out) {
     out += "null";
     return;
   }
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::fabs(value) < 1e15) {
+  // Range first: casting a double past long long's range is undefined.
+  if (std::fabs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     out += std::to_string(static_cast<long long>(value));
     return;
   }
@@ -262,6 +279,11 @@ void append_number(double value, std::string& out) {
 
 }  // namespace
 
+Value::Value(std::size_t value) {
+  if (value > kMaxExactDouble) data_ = std::uint64_t{value};
+  else data_ = static_cast<double>(value);
+}
+
 bool Value::as_bool() const {
   if (const bool* b = std::get_if<bool>(&data_)) return *b;
   throw std::invalid_argument("json: expected bool");
@@ -269,7 +291,20 @@ bool Value::as_bool() const {
 
 double Value::as_double() const {
   if (const double* d = std::get_if<double>(&data_)) return *d;
+  if (const std::uint64_t* u = std::get_if<std::uint64_t>(&data_)) {
+    return static_cast<double>(*u);  // nearest, as strtod rounds the literal
+  }
   throw std::invalid_argument("json: expected number");
+}
+
+std::uint64_t Value::as_u64() const {
+  if (const std::uint64_t* u = std::get_if<std::uint64_t>(&data_)) return *u;
+  const double* d = std::get_if<double>(&data_);
+  if (d != nullptr && *d >= 0.0 && *d <= static_cast<double>(kMaxExactDouble) &&
+      *d == std::floor(*d)) {
+    return static_cast<std::uint64_t>(*d);
+  }
+  throw std::invalid_argument("json: expected a non-negative integer");
 }
 
 const std::string& Value::as_string() const {
@@ -317,6 +352,8 @@ void serialize_to(const Value& value, std::string& out) {
     out += "null";
   } else if (value.is_bool()) {
     out += value.as_bool() ? "true" : "false";
+  } else if (const std::uint64_t* exact = std::get_if<std::uint64_t>(&value.data_)) {
+    out += std::to_string(*exact);
   } else if (value.is_number()) {
     append_number(value.as_double(), out);
   } else if (value.is_string()) {

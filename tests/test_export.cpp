@@ -8,13 +8,17 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fd_limit.hpp"
 #include "mpss/net/framing.hpp"
 #include "mpss/net/metrics_http.hpp"
 #include "mpss/obs/counters.hpp"
@@ -171,26 +175,26 @@ TEST(Export, PercentilesAreMonotoneAndBracketTheSamples) {
 namespace mpss::net {
 namespace {
 
-/// One blocking HTTP/1.0 exchange against localhost:port.
-std::string http_get(std::uint16_t port, const std::string& request) {
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  EXPECT_TRUE(fd.valid());
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
-  EXPECT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address),
-                      sizeof address),
-            0);
-  EXPECT_EQ(::send(fd.get(), request.data(), request.size(), 0),
+/// Sends `request` on a connected socket; the response up to EOF or 2 s.
+std::string http_exchange(int fd, const std::string& request) {
+  set_recv_timeout(fd, 2000, "http_exchange");
+  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
   std::string response;
   char buffer[4096];
   ssize_t n;
-  while ((n = ::recv(fd.get(), buffer, sizeof buffer, 0)) > 0) {
+  while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0) {
     response.append(buffer, static_cast<std::size_t>(n));
   }
   return response;
+}
+
+/// One HTTP/1.0 exchange against localhost:port.
+std::string http_get(std::uint16_t port, const std::string& request) {
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  EXPECT_TRUE(fd.valid());
+  EXPECT_TRUE(connect_loopback(fd.get(), port));
+  return http_exchange(fd.get(), request);
 }
 
 TEST(MetricsHttp, ServesPrometheusSnapshotOnGetMetrics) {
@@ -213,6 +217,33 @@ TEST(MetricsHttp, ServesPrometheusSnapshotOnGetMetrics) {
   std::string again =
       http_get(server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(again.find("mpss_net_metrics_scrapes_total"), std::string::npos);
+}
+
+TEST(MetricsHttp, AcceptErrorsAreCountedAndRetried) {
+  auto accept_errors = [] {
+    return obs::Registry::global().snapshot().value("net.accept_errors");
+  };
+  const std::uint64_t before = accept_errors();
+  // connect() takes no descriptor. The listener starts with one to spare,
+  // which its listening socket takes, so its accept() meets EMFILE.
+  ScopedFd pending(::socket(AF_INET, SOCK_STREAM, 0));
+  std::optional<MetricsHttpServer> server;
+  {
+    ScopedFdLimit limit(16);
+    ASSERT_TRUE(limit.ok());
+    limit.exhaust(/*spare=*/1);
+    server.emplace("127.0.0.1", 0);
+    EXPECT_TRUE(connect_loopback(pending.get(), server->port()));
+    for (int i = 0; i < 200 && accept_errors() == before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(accept_errors(), before);
+  }
+  // With the descriptors back, the backlog's connection and a fresh one are
+  // both served within 2 s.
+  const std::string scrape = "GET /metrics HTTP/1.0\r\n\r\n";
+  EXPECT_EQ(http_exchange(pending.get(), scrape).rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
+  EXPECT_EQ(http_get(server->port(), scrape).rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
 }
 
 TEST(MetricsHttp, UnknownRoutesGet404) {

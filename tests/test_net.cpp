@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fd_limit.hpp"
 #include "mpss/core/instance_json.hpp"
 #include "mpss/net/client.hpp"
 #include "mpss/net/framing.hpp"
@@ -67,13 +69,7 @@ struct SocketPair {
 ScopedFd raw_connect(std::uint16_t port) {
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   EXPECT_TRUE(fd.valid());
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
-  EXPECT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&address),
-                      sizeof address),
-            0);
+  EXPECT_TRUE(connect_loopback(fd.get(), port));
   return fd;
 }
 
@@ -303,6 +299,35 @@ TEST(Protocol, NamesRoundTrip) {
   EXPECT_FALSE(error_code_from_name("nope").has_value());
 }
 
+// ---- util/json numbers -----------------------------------------------------
+
+TEST(Json, IntegersPast2To53AreExactAndOtherNumbersParseAsBefore) {
+  for (const char* text :
+       {"9007199254740993", "18446744073709551615", "[18446744073709551615]"}) {
+    EXPECT_EQ(json::serialize(json::parse(text)), text);
+  }
+  EXPECT_EQ(json::serialize(json::Value(std::size_t{18446744073709551615ull})),
+            "18446744073709551615");
+  EXPECT_EQ(json::parse("9007199254740993").as_double(), 9007199254740992.0);
+  // 2^64 does not fit; at or below 2^53, or with a sign, fraction or
+  // exponent, a number stays the double it always was.
+  EXPECT_EQ(json::parse("18446744073709551616"), json::Value(18446744073709551616.0));
+  EXPECT_EQ(json::parse("9007199254740992"), json::Value(9007199254740992.0));
+  EXPECT_EQ(json::parse("-9007199254740993"), json::Value(-9007199254740993.0));
+  EXPECT_EQ(json::parse("9007199254740993.0"), json::Value(9007199254740992.0));
+  EXPECT_EQ(json::parse("1e3"), json::Value(1000.0));
+}
+
+TEST(Json, AsU64ReadsNonNegativeIntegersExactly) {
+  EXPECT_EQ(json::parse("7").as_u64(), 7u);
+  EXPECT_EQ(json::parse("7.0").as_u64(), 7u);
+  EXPECT_EQ(json::parse("1e3").as_u64(), 1000u);
+  EXPECT_EQ(json::parse("18446744073709551615").as_u64(), 18446744073709551615ull);
+  for (const char* text : {"-1", "0.5", "1e300", "\"7\"", "9007199254740994.0"}) {
+    EXPECT_THROW((void)json::parse(text).as_u64(), std::invalid_argument) << text;
+  }
+}
+
 // ---- server end-to-end -----------------------------------------------------
 
 TEST(SolveServer, LoopbackSolveIsBitIdenticalToInProcess) {
@@ -522,6 +547,70 @@ TEST(SolveServer, DisconnectCancelsOutstandingWork) {
   // next checkpoint instead of running to completion.
   server.shutdown();
   EXPECT_GT(cancelled_after, cancelled_before);
+}
+
+TEST(SolveServer, ClosedConnectionsReleaseTheirSockets) {
+  // With 32 descriptors to spare, 100 sequential connections get through
+  // only if each closed connection gives its socket back at once.
+  SolveServer server;
+  ScopedFdLimit limit(32);
+  ASSERT_TRUE(limit.ok());
+  for (int i = 0; i < 100; ++i) {
+    SolveClient client("127.0.0.1", server.port(), {.io_timeout_ms = 2000, .retry = {}});
+    ASSERT_EQ(client.health().at("status").as_string(), "ok") << "round trip " << i;
+  }
+}
+
+TEST(SolveServer, AcceptErrorsAreCountedAndRetried) {
+  auto accept_errors = [] {
+    return obs::Registry::global().snapshot().value("net.accept_errors");
+  };
+  const std::uint64_t before = accept_errors();
+  // connect() takes no descriptor. The daemon starts with one to spare, which
+  // its listening socket takes, so its accept() meets EMFILE.
+  ScopedFd pending(::socket(AF_INET, SOCK_STREAM, 0));
+  std::optional<SolveServer> server;
+  {
+    ScopedFdLimit limit(16);
+    ASSERT_TRUE(limit.ok());
+    limit.exhaust(/*spare=*/1);
+    server.emplace();
+    EXPECT_TRUE(connect_loopback(pending.get(), server->port()));
+    for (int i = 0; i < 200 && accept_errors() == before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(accept_errors(), before);
+  }
+  // With the descriptors back, the backlog's connection and a fresh one are
+  // both served within 2 s.
+  set_recv_timeout(pending.get(), 2000, "test");
+  write_frame(pending.get(), R"({"v":1,"id":1,"verb":"health"})");
+  std::string payload;
+  ASSERT_TRUE(read_frame(pending.get(), payload));
+  EXPECT_TRUE(decode_response(payload).ok);
+  SolveClient fresh("127.0.0.1", server->port(),
+                    {.connect_timeout_ms = 2000, .io_timeout_ms = 2000,
+                     .retry = {.max_attempts = 1}});
+  EXPECT_EQ(fresh.health().at("status").as_string(), "ok");
+}
+
+TEST(SolveServer, RetiredAvrPeelingKeyIsIgnored) {
+  // The peel-dependent instance of test_ablations: AVR without its peel runs
+  // the dense job on two processors at once. The retired switch must not
+  // reach the engine.
+  const std::string text =
+      R"({"v":1,"id":3,"verb":"solve","options":{"engine":"avr","avr_peeling":false},)"
+      R"("instance":{"mpss_instance":1,"machines":2,)"
+      R"("jobs":[["0","1","10"],["0","1","1"],["0","1","1"]]}})";
+  SolveServer server;
+  ScopedFd raw = raw_connect(server.port());
+  write_frame(raw.get(), text);
+  std::string payload;
+  ASSERT_TRUE(read_frame(raw.get(), payload));
+  Response response = decode_response(payload);
+  ASSERT_EQ(response.results.size(), 1u);
+  ASSERT_TRUE(response.results[0].ok());
+  EXPECT_EQ(response.results[0].violations(decode_request(text).instances[0]), 0u);
 }
 
 TEST(SolveServer, ShutdownIsIdempotentAndRejectsLateClients) {

@@ -171,7 +171,8 @@ TEST(Trace, JsonlRoundTripCarriesTraceAndRemoteParent) {
 TEST(Trace, ParserSkipsBlankLinesAndIgnoresUnknownKeys) {
   std::string text =
       "\n  \t\n"
-      R"({"seq":5,"kind":"peel","label":"avr.peel","a":1,"b":2,"value":0.5,"t":0,"future_key":9})"
+      R"({"seq":5,"kind":"peel","label":"avr.peel","a":1,"b":2,"value":0.5,"t":0,)"
+      R"("future_key":9,"flag":true,"note":"hi","list":[1,"x"],"nested":{"k":[{}]}})"
       "\n\n";
   auto events = parse_trace_jsonl(std::string_view(text));
   ASSERT_EQ(events.size(), 1u);
@@ -180,6 +181,18 @@ TEST(Trace, ParserSkipsBlankLinesAndIgnoresUnknownKeys) {
   EXPECT_EQ(events[0].a, 1u);
   EXPECT_EQ(events[0].b, 2u);
   EXPECT_DOUBLE_EQ(events[0].value, 0.5);
+}
+
+TEST(Trace, IntegerFieldsMustBeNonNegativeIntegers) {
+  for (const char* a : {"-1", "0.5", "1e300", "1-2"}) {
+    std::string line = std::string(R"({"kind":"counter","a":)") + a + "}";
+    EXPECT_THROW((void)parse_trace_jsonl(line), std::invalid_argument) << line;
+  }
+  // Integral numbers in other spellings still read exactly.
+  auto events = parse_trace_jsonl(std::string_view(R"({"a":1e3,"b":2.0})"));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].a, 1000u);
+  EXPECT_EQ(events[0].b, 2u);
 }
 
 TEST(Trace, MalformedLinesThrow) {

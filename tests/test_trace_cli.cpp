@@ -1,20 +1,17 @@
 // End-to-end CLI tests for tools/mpss_trace: the documented exit-code scheme
 // (0 ok / 1 usage / 2 missing file / 3 malformed JSONL), the --report span
-// profile, and the --chrome export -- whose output is fully parsed by a
-// minimal recursive-descent JSON reader and checked against the Chrome
-// trace-event schema (every event needs name/ph/ts/pid/tid).
+// profile, and the --chrome export -- whose output is fully parsed by
+// json::parse and checked against the Chrome trace-event schema (every event
+// needs name/ph/ts/pid/tid).
 //
 // The binary path arrives via MPSS_TRACE_BIN (set by tests/CMakeLists.txt).
 
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +19,7 @@
 #include "mpss/core/optimal.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/trace.hpp"
+#include "mpss/util/json.hpp"
 #include "mpss/workload/generators.hpp"
 
 #ifndef MPSS_TRACE_BIN
@@ -71,187 +69,6 @@ fs::path traced_solve_path() {
   return path;
 }
 
-// ---- minimal JSON DOM (what the schema test parses --chrome output with) ---
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  [[nodiscard]] bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(v);
-  }
-  [[nodiscard]] bool is_number() const { return std::holds_alternative<double>(v); }
-  [[nodiscard]] bool is_string() const {
-    return std::holds_alternative<std::string>(v);
-  }
-  [[nodiscard]] const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  [[nodiscard]] const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  [[nodiscard]] const std::string& str() const { return std::get<std::string>(v); }
-};
-
-/// Strict recursive-descent JSON parser (throws std::runtime_error on any
-/// deviation), small enough to live in the test it serves.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json at byte " + std::to_string(pos_) + ": " + what);
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') {
-      literal("null");
-      return JsonValue{nullptr};
-    }
-    return parse_number();
-  }
-  void literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) fail("bad literal");
-    pos_ += word.size();
-  }
-  JsonValue parse_bool() {
-    if (peek() == 't') {
-      literal("true");
-      return JsonValue{true};
-    }
-    literal("false");
-    return JsonValue{false};
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control char in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          for (int i = 0; i < 4; ++i) {
-            if (std::isxdigit(static_cast<unsigned char>(text_[pos_ + static_cast<std::size_t>(i)])) == 0) {
-              fail("bad \\u escape");
-            }
-          }
-          pos_ += 4;
-          out += '?';  // decoded value irrelevant to the schema checks
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-  JsonValue parse_number() {
-    std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    try {
-      return JsonValue{std::stod(std::string(text_.substr(start, pos_ - start)))};
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-  }
-  JsonValue parse_array() {
-    expect('[');
-    auto array = std::make_shared<JsonArray>();
-    skip_ws();
-    if (consume(']')) return JsonValue{array};
-    for (;;) {
-      array->push_back(parse_value());
-      skip_ws();
-      if (consume(']')) return JsonValue{array};
-      expect(',');
-    }
-  }
-  JsonValue parse_object() {
-    expect('{');
-    auto object = std::make_shared<JsonObject>();
-    skip_ws();
-    if (consume('}')) return JsonValue{object};
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      (*object)[key] = parse_value();
-      skip_ws();
-      if (consume('}')) return JsonValue{object};
-      expect(',');
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 std::string slurp(const fs::path& path) {
   std::ifstream in(path);
   std::ostringstream buffer;
@@ -288,6 +105,11 @@ TEST(TraceCli, MalformedJsonlExitsThree) {
   fs::path truncated = temp_dir() / "truncated.jsonl";
   std::ofstream(truncated) << R"({"seq":0,"kind":"counter","label":"x)" << "\n";
   EXPECT_EQ(run_tool(truncated.string()), 3);
+
+  fs::path negative = temp_dir() / "negative.jsonl";
+  std::ofstream(negative) << R"({"seq":0,"kind":"counter","label":"x","a":-1})"
+                          << "\n";
+  EXPECT_EQ(run_tool(negative.string()), 3);
 }
 
 TEST(TraceCli, ReportModeRunsAndMentionsTheRootSpan) {
@@ -306,31 +128,29 @@ TEST(TraceCli, ChromeExportIsValidTraceEventJson) {
   fs::path out = temp_dir() / "chrome.json";
   ASSERT_EQ(run_tool(traced_solve_path().string() + " --chrome=" + out.string()), 0);
 
-  JsonValue root = JsonParser(slurp(out)).parse();  // throws if not valid JSON
+  json::Value root = json::parse(slurp(out));  // throws if not valid JSON
   ASSERT_TRUE(root.is_object());
-  const JsonObject& top = root.object();
-  ASSERT_TRUE(top.contains("traceEvents"));
-  ASSERT_TRUE(top.at("traceEvents").is_array());
-  const JsonArray& events = top.at("traceEvents").array();
+  ASSERT_NE(root.find("traceEvents"), nullptr);
+  ASSERT_TRUE(root.at("traceEvents").is_array());
+  const json::Array& events = root.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
 
   std::size_t complete = 0;
-  for (const JsonValue& value : events) {
-    ASSERT_TRUE(value.is_object());
-    const JsonObject& event = value.object();
+  for (const json::Value& event : events) {
+    ASSERT_TRUE(event.is_object());
     // Chrome trace-event schema: every event carries name/ph/ts/pid/tid.
     for (const char* key : {"name", "ph", "ts", "pid", "tid"}) {
-      ASSERT_TRUE(event.contains(key)) << "missing " << key;
+      ASSERT_NE(event.find(key), nullptr) << "missing " << key;
     }
     ASSERT_TRUE(event.at("name").is_string());
     ASSERT_TRUE(event.at("ph").is_string());
     ASSERT_TRUE(event.at("ts").is_number());
-    const std::string& ph = event.at("ph").str();
+    const std::string& ph = event.at("ph").as_string();
     EXPECT_TRUE(ph == "X" || ph == "i") << ph;
     if (ph == "X") {
       ++complete;
-      ASSERT_TRUE(event.contains("dur"));
-      EXPECT_GE(std::get<double>(event.at("dur").v), 0.0);
+      ASSERT_NE(event.find("dur"), nullptr);
+      EXPECT_GE(event.at("dur").as_double(), 0.0);
     }
   }
   // The traced solve opened solve/phase/round spans: they must all be there.
@@ -403,21 +223,20 @@ TEST(TraceCli, MergedChromeExportResolvesCrossProcessParents) {
                      " --chrome=" + out.string()),
             0);
 
-  JsonValue root = JsonParser(slurp(out)).parse();
-  const JsonArray& events = root.object().at("traceEvents").array();
-  std::map<std::string, const JsonObject*> by_name;
-  for (const JsonValue& value : events) {
-    const JsonObject& event = value.object();
-    if (event.at("ph").str() == "X") by_name[event.at("name").str()] = &event;
+  json::Value root = json::parse(slurp(out));
+  const json::Array& events = root.at("traceEvents").as_array();
+  std::map<std::string, const json::Value*> by_name;
+  for (const json::Value& event : events) {
+    if (event.at("ph").as_string() == "X") {
+      by_name[event.at("name").as_string()] = &event;
+    }
   }
   ASSERT_EQ(by_name.size(), 4u);
 
-  auto field = [](const JsonObject* event, const char* key) {
-    return std::get<double>(event->at("args").object().at(key).v);
+  auto field = [](const json::Value* event, const char* key) {
+    return event->at("args").at(key).as_double();
   };
-  auto pid = [](const JsonObject* event) {
-    return std::get<double>(event->at("pid").v);
-  };
+  auto pid = [](const json::Value* event) { return event->at("pid").as_double(); };
 
   // File index is the Chrome pid; file 0's ids are untouched (the single-file
   // output stays byte-compatible), file 1's live in a disjoint namespace.
@@ -435,6 +254,32 @@ TEST(TraceCli, MergedChromeExportResolvesCrossProcessParents) {
             field(by_name.at("net.request"), "span"));
   EXPECT_EQ(field(by_name.at("net.request"), "trace"), 777.0);
   EXPECT_EQ(field(by_name.at("client.solve"), "trace"), 777.0);
+}
+
+TEST(TraceCli, ChromeExportKeepsMicrosecondsTwelveSecondsIn) {
+  using obs::EventKind;
+  // A 4 us span 12.345678 s into the trace, inside [1.0 s, 13.34569 s).
+  auto ending = [](obs::TraceEvent event, double seconds) {
+    event.value = seconds;
+    return event;
+  };
+  fs::path trace = write_trace(
+      "precision.jsonl",
+      {span_event(EventKind::kSpanBegin, "outer", 1, 0, 0, 1.0),
+       span_event(EventKind::kSpanBegin, "inner", 2, 1, 1, 13.345678),
+       ending(span_event(EventKind::kSpanEnd, "inner", 2, 1, 2, 13.345682),
+              13.345682 - 13.345678),
+       ending(span_event(EventKind::kSpanEnd, "outer", 1, 0, 3, 13.34569),
+              13.34569 - 1.0)});
+  fs::path out = temp_dir() / "precision.json";
+  ASSERT_EQ(run_tool(trace.string() + " --chrome=" + out.string()), 0);
+
+  const json::Array events = json::parse(slurp(out)).at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 2u);  // outer, then inner
+  auto at = [&](std::size_t i, const char* key) { return events[i].at(key).as_double(); };
+  EXPECT_NEAR(at(1, "ts"), 12'345'678.0, 0.5);
+  EXPECT_GE(at(1, "ts"), at(0, "ts"));
+  EXPECT_LE(at(1, "ts") + at(1, "dur"), at(0, "ts") + at(0, "dur"));
 }
 
 TEST(TraceCli, ReportAcceptsMultipleFiles) {

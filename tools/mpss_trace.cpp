@@ -37,7 +37,8 @@
 //
 // --chrome=out.json writes the span tree in the Chrome trace-event format
 // ({"traceEvents": [...]}, "X" complete events plus "i" instants), loadable in
-// chrome://tracing and Perfetto.
+// chrome://tracing and Perfetto. Each event is one util/json object, streamed
+// as it is built; ts and dur are microseconds at full double precision.
 //
 // --prom replays the trace into a Prometheus text-format snapshot on stdout:
 // one counter per kCounter label (occurrence count), span durations as
@@ -55,10 +56,11 @@
 // back out (parse check only).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -70,6 +72,7 @@
 #include "mpss/obs/trace.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/util/cli.hpp"
+#include "mpss/util/json.hpp"
 #include "mpss/util/table.hpp"
 
 namespace {
@@ -99,6 +102,17 @@ std::string label_prefix(const std::string& label) {
   return dot == std::string::npos ? label : label.substr(0, dot);
 }
 
+/// A histogram's count, p50/p90/p99 and max under `title`; nothing if empty.
+void latency_table(const char* title, const mpss::obs::HistogramData& data,
+                   bool csv) {
+  if (data.empty()) return;
+  mpss::obs::Percentiles latency = mpss::obs::percentiles(data);
+  std::cout << title << "\n";
+  Table table({"count", "p50", "p90", "p99", "max"});
+  table.row(data.count, latency.p50, latency.p90, latency.p99, data.max);
+  print_table(table, csv);
+}
+
 void kind_summary(const std::vector<TraceEvent>& events, bool csv) {
   std::map<std::string, std::size_t> counts;
   for (const TraceEvent& event : events) {
@@ -115,7 +129,6 @@ void phase_tables(const std::vector<TraceEvent>& events, bool csv) {
     std::size_t rounds = 0;
     std::size_t removals = 0;
     double speed = 0.0;
-    bool seen = false;
   };
   std::map<std::string, std::map<std::uint64_t, PhaseRow>> engines;
   for (const TraceEvent& event : events) {
@@ -124,7 +137,6 @@ void phase_tables(const std::vector<TraceEvent>& events, bool csv) {
       PhaseRow& row = engines[prefix][event.a];
       row.rounds = event.b;
       row.speed = event.value;
-      row.seen = true;
     } else if (event.kind == EventKind::kCandidateRemoved) {
       ++engines[prefix][event.a].removals;
     }
@@ -133,17 +145,13 @@ void phase_tables(const std::vector<TraceEvent>& events, bool csv) {
     std::cout << "phases [" << engine << "]\n";
     Table table({"phase", "rounds", "removals", "speed"});
     std::size_t total_rounds = 0;
+    std::size_t total_removals = 0;
     for (const auto& [phase, row] : phases) {
       table.row(phase, row.rounds, row.removals, Table::num(row.speed, 6));
       total_rounds += row.rounds;
+      total_removals += row.removals;
     }
-    table.row("total", total_rounds,
-              std::count_if(events.begin(), events.end(),
-                            [&engine](const TraceEvent& e) {
-                              return e.kind == EventKind::kCandidateRemoved &&
-                                     label_prefix(e.label) == engine;
-                            }),
-              "");
+    table.row("total", total_rounds, total_removals, "");
     print_table(table, csv);
   }
 }
@@ -158,11 +166,8 @@ void warm_start_table(const std::vector<TraceEvent>& events, bool csv) {
   std::map<std::string, WarmRow> engines;
   for (const TraceEvent& event : events) {
     if (event.kind != EventKind::kCounter) continue;
-    const std::string& label = event.label;
-    if (label.size() < 11 || label.compare(label.size() - 11, 11, ".warm_start") != 0) {
-      continue;
-    }
-    WarmRow& row = engines[label_prefix(label)];
+    if (!event.label.ends_with(".warm_start")) continue;
+    WarmRow& row = engines[label_prefix(event.label)];
     ++row.resumes;
     row.resume_bfs += event.value;
   }
@@ -189,11 +194,8 @@ void memory_table(const std::vector<TraceEvent>& events, bool csv) {
   std::map<std::string, MemRow> engines;
   for (const TraceEvent& event : events) {
     if (event.kind != EventKind::kCounter) continue;
-    const std::string& label = event.label;
-    if (label.size() < 6 || label.compare(label.size() - 6, 6, ".arena") != 0) {
-      continue;
-    }
-    MemRow& row = engines[label_prefix(label)];
+    if (!event.label.ends_with(".arena")) continue;
+    MemRow& row = engines[label_prefix(event.label)];
     ++row.solves;
     row.arena_bytes = std::max(row.arena_bytes, static_cast<std::size_t>(event.a));
     row.fallbacks += static_cast<std::size_t>(event.b);
@@ -227,7 +229,9 @@ void simplex_table(const std::vector<TraceEvent>& events, bool csv) {
 void service_table(const std::vector<TraceEvent>& events, bool csv) {
   // The BatchSolver emits one "service.done" kCounter event per completed
   // request (a = SolveStatus, b = 1 when served from the cache, value = request
-  // seconds) plus cache_hit/cache_miss/cache_evict markers.
+  // seconds) plus cache_hit/cache_miss/cache_evict markers, and each worker one
+  // "service.queue_wait" per dispatched request (a = admission-to-dispatch
+  // microseconds): the offline rebuild of the service.queue_wait_us histogram.
   struct StatusRow {
     std::size_t requests = 0;
     std::size_t cached = 0;
@@ -237,6 +241,7 @@ void service_table(const std::vector<TraceEvent>& events, bool csv) {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t evictions = 0;
+  mpss::obs::HistogramData queue_wait;
   for (const TraceEvent& event : events) {
     if (event.kind != EventKind::kCounter) continue;
     if (event.label == "service.done") {
@@ -250,6 +255,8 @@ void service_table(const std::vector<TraceEvent>& events, bool csv) {
       ++misses;
     } else if (event.label == "service.cache_evict") {
       ++evictions;
+    } else if (event.label == "service.queue_wait") {
+      queue_wait.record(event.a);
     }
   }
   if (by_status.empty() && hits + misses + evictions == 0) return;
@@ -264,22 +271,7 @@ void service_table(const std::vector<TraceEvent>& events, bool csv) {
   Table cache({"hits", "misses", "evictions"});
   cache.row(hits, misses, evictions);
   print_table(cache, csv);
-  // Each worker emits one "service.queue_wait" kCounter event per dispatched
-  // request (a = admission-to-dispatch microseconds): the offline rebuild of
-  // the daemon's service.queue_wait_us histogram.
-  mpss::obs::HistogramData queue_wait;
-  for (const TraceEvent& event : events) {
-    if (event.kind == EventKind::kCounter && event.label == "service.queue_wait") {
-      queue_wait.record(event.a);
-    }
-  }
-  if (!queue_wait.empty()) {
-    mpss::obs::Percentiles wait = mpss::obs::percentiles(queue_wait);
-    std::cout << "service queue wait (us)\n";
-    Table waits({"count", "p50", "p90", "p99", "max"});
-    waits.row(queue_wait.count, wait.p50, wait.p90, wait.p99, queue_wait.max);
-    print_table(waits, csv);
-  }
+  latency_table("service queue wait (us)", queue_wait, csv);
 }
 
 void net_table(const std::vector<TraceEvent>& events, bool csv) {
@@ -323,25 +315,16 @@ void net_table(const std::vector<TraceEvent>& events, bool csv) {
             static_cast<std::size_t>(bytes_out), Table::num(seconds, 6),
             disconnect_cancels, shutdowns);
   print_table(table, csv);
-  if (!request_us.empty()) {
-    mpss::obs::Percentiles latency = mpss::obs::percentiles(request_us);
-    std::cout << "net request latency (us)\n";
-    Table latencies({"count", "p50", "p90", "p99", "max"});
-    latencies.row(request_us.count, latency.p50, latency.p90, latency.p99,
-                  request_us.max);
-    print_table(latencies, csv);
-  }
+  latency_table("net request latency (us)", request_us, csv);
 }
 
 void arrival_table(const std::vector<TraceEvent>& events, bool csv) {
-  bool any = false;
   Table table({"arrival", "available", "plan_seconds"});
   for (const TraceEvent& event : events) {
     if (event.kind != EventKind::kArrival) continue;
-    any = true;
     table.row(event.a, event.b, Table::num(event.value, 6));
   }
-  if (!any) return;
+  if (table.row_count() == 0) return;
   std::cout << "arrivals\n";
   print_table(table, csv);
 }
@@ -364,28 +347,31 @@ struct SpanRecord {
   bool closed = false;
 };
 
-std::vector<SpanRecord> collect_spans(const std::vector<TraceEvent>& events,
-                                      std::size_t file = 0) {
-  std::map<std::uint64_t, std::size_t> index;  // span id -> position
+/// Every span of every input file, file by file in begin order.
+std::vector<SpanRecord> collect_spans(
+    const std::vector<std::vector<TraceEvent>>& files) {
   std::vector<SpanRecord> spans;
-  for (const TraceEvent& event : events) {
-    if (event.kind == EventKind::kSpanBegin) {
-      SpanRecord record;
-      record.label = event.label;
-      record.id = event.a;
-      record.parent = event.b;
-      record.remote_parent = event.remote_parent;
-      record.trace = event.trace;
-      record.thread = static_cast<std::uint64_t>(event.value);
-      record.file = file;
-      record.start_seconds = event.t_seconds;
-      index[record.id] = spans.size();
-      spans.push_back(std::move(record));
-    } else if (event.kind == EventKind::kSpanEnd) {
-      auto it = index.find(event.a);
-      if (it == index.end()) continue;  // end without begin: truncated trace
-      spans[it->second].duration_seconds = event.value;
-      spans[it->second].closed = true;
+  for (std::size_t file = 0; file < files.size(); ++file) {
+    std::map<std::uint64_t, std::size_t> index;  // span id -> position
+    for (const TraceEvent& event : files[file]) {
+      if (event.kind == EventKind::kSpanBegin) {
+        SpanRecord record;
+        record.label = event.label;
+        record.id = event.a;
+        record.parent = event.b;
+        record.remote_parent = event.remote_parent;
+        record.trace = event.trace;
+        record.thread = static_cast<std::uint64_t>(event.value);
+        record.file = file;
+        record.start_seconds = event.t_seconds;
+        index[record.id] = spans.size();
+        spans.push_back(std::move(record));
+      } else if (event.kind == EventKind::kSpanEnd) {
+        auto it = index.find(event.a);
+        if (it == index.end()) continue;  // end without begin: truncated trace
+        spans[it->second].duration_seconds = event.value;
+        spans[it->second].closed = true;
+      }
     }
   }
   // Unclosed spans (crash or truncated capture) are dropped: without an end
@@ -396,12 +382,7 @@ std::vector<SpanRecord> collect_spans(const std::vector<TraceEvent>& events,
 
 void span_report(const std::vector<std::vector<TraceEvent>>& files, bool csv,
                  std::size_t top) {
-  std::vector<SpanRecord> spans;
-  for (std::size_t file = 0; file < files.size(); ++file) {
-    std::vector<SpanRecord> collected = collect_spans(files[file], file);
-    spans.insert(spans.end(), std::make_move_iterator(collected.begin()),
-                 std::make_move_iterator(collected.end()));
-  }
+  std::vector<SpanRecord> spans = collect_spans(files);
   if (spans.empty()) {
     std::cout << "no spans in trace (emit with obs::SpanScope)\n";
     return;
@@ -464,8 +445,8 @@ void span_report(const std::vector<std::vector<TraceEvent>>& files, bool csv,
 
 /// Writes the Chrome trace-event format (the catapult JSON schema Perfetto and
 /// chrome://tracing load): spans as "X" complete events, other timestamped
-/// events as "i" instants. Timestamps are microseconds relative to the
-/// earliest event across every file, so the viewer opens at t=0 and (on
+/// events as "i" instants. Timestamps are microseconds (full double precision)
+/// relative to the earliest event across every file, so the viewer opens at t=0 and (on
 /// Linux, where steady_clock is the machine-wide CLOCK_MONOTONIC) the files'
 /// timelines align without negotiation.
 ///
@@ -478,12 +459,7 @@ void span_report(const std::vector<std::vector<TraceEvent>>& files, bool csv,
 /// first match wins (the wire does not carry a process identity).
 bool write_chrome_trace(const std::vector<std::vector<TraceEvent>>& files,
                         const std::string& path) {
-  std::vector<SpanRecord> spans;
-  for (std::size_t file = 0; file < files.size(); ++file) {
-    std::vector<SpanRecord> collected = collect_spans(files[file], file);
-    spans.insert(spans.end(), std::make_move_iterator(collected.begin()),
-                 std::make_move_iterator(collected.end()));
-  }
+  std::vector<SpanRecord> spans = collect_spans(files);
   auto gid = [](std::size_t file, std::uint64_t id) {
     return id == 0 ? std::uint64_t{0}
                    : (static_cast<std::uint64_t>(file) << 32) + id;
@@ -500,27 +476,29 @@ bool write_chrome_trace(const std::vector<std::vector<TraceEvent>>& files,
     }
   }
 
-  double min_seconds = 0.0;
-  bool seen = false;
+  double min_seconds = std::numeric_limits<double>::infinity();
   for (const SpanRecord& span : spans) {
-    if (!seen || span.start_seconds < min_seconds) min_seconds = span.start_seconds;
-    seen = true;
+    min_seconds = std::min(min_seconds, span.start_seconds);
   }
   for (const std::vector<TraceEvent>& events : files) {
     for (const TraceEvent& event : events) {
-      if (event.t_seconds <= 0.0) continue;
-      if (!seen || event.t_seconds < min_seconds) min_seconds = event.t_seconds;
-      seen = true;
+      if (event.t_seconds > 0.0) min_seconds = std::min(min_seconds, event.t_seconds);
     }
   }
+  if (std::isinf(min_seconds)) min_seconds = 0.0;  // nothing timestamped
 
   std::ofstream out(path);
   if (!out) return false;
+  // Each event is built as one json::Value and written as soon as it is
+  // built: a long traced daemon run holds millions of spans, too many to hold
+  // as one document, so only the envelope around them is written by hand.
   out << "{\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out << ",";
-    first = false;
+  std::string text;
+  auto write_event = [&](const mpss::json::Value& event) {
+    if (!text.empty()) out << ',';
+    text.clear();
+    mpss::json::serialize_to(event, text);
+    out << text;
   };
   for (const SpanRecord& span : spans) {
     std::uint64_t parent = gid(span.file, span.parent);
@@ -535,15 +513,19 @@ bool write_chrome_trace(const std::vector<std::vector<TraceEvent>>& files,
         }
       }
     }
-    comma();
-    out << "{\"name\":" << mpss::obs::json_quoted(span.label)
-        << ",\"ph\":\"X\",\"ts\":" << (span.start_seconds - min_seconds) * 1e6
-        << ",\"dur\":" << span.duration_seconds * 1e6 << ",\"pid\":" << span.file
-        << ",\"tid\":" << span.thread
-        << ",\"args\":{\"span\":" << gid(span.file, span.id)
-        << ",\"parent\":" << parent;
-    if (span.trace != 0) out << ",\"trace\":" << span.trace;
-    out << "}}";
+    mpss::json::Value args;
+    args.set("span", gid(span.file, span.id));
+    args.set("parent", parent);
+    if (span.trace != 0) args.set("trace", span.trace);
+    mpss::json::Value event;
+    event.set("name", span.label);
+    event.set("ph", "X");
+    event.set("ts", (span.start_seconds - min_seconds) * 1e6);
+    event.set("dur", span.duration_seconds * 1e6);
+    event.set("pid", span.file);
+    event.set("tid", span.thread);
+    event.set("args", std::move(args));
+    write_event(event);
   }
   for (std::size_t file = 0; file < files.size(); ++file) {
     for (const TraceEvent& event : files[file]) {
@@ -551,13 +533,18 @@ bool write_chrome_trace(const std::vector<std::vector<TraceEvent>>& files,
         continue;
       }
       if (event.t_seconds <= 0.0) continue;  // untimestamped build: spans only
-      comma();
-      out << "{\"name\":" << mpss::obs::json_quoted(event.label)
-          << ",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-          << (event.t_seconds - min_seconds) * 1e6 << ",\"pid\":" << file
-          << ",\"tid\":0,\"args\":{\"kind\":"
-          << mpss::obs::json_quoted(mpss::obs::event_kind_name(event.kind))
-          << ",\"span\":" << gid(file, event.span) << "}}";
+      mpss::json::Value args;
+      args.set("kind", mpss::obs::event_kind_name(event.kind));
+      args.set("span", gid(file, event.span));
+      mpss::json::Value instant;
+      instant.set("name", event.label);
+      instant.set("ph", "i");
+      instant.set("s", "t");
+      instant.set("ts", (event.t_seconds - min_seconds) * 1e6);
+      instant.set("pid", file);
+      instant.set("tid", 0);
+      instant.set("args", std::move(args));
+      write_event(instant);
     }
   }
   out << "]}\n";
