@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "mpss/mpss.hpp"
 
@@ -174,8 +175,11 @@ int cmd_run(const CliArgs& args) {
   }
   if (args.has("save")) {
     const std::string path = args.get("save", "result.json");
+    std::string text;
+    json::Writer writer(text);
+    net::write_result(writer, result);
     std::ofstream out(path);
-    out << json::serialize(net::result_to_json_value(result)) << "\n";
+    out << text << "\n";
     if (!out) throw std::runtime_error("cannot write " + path);
     std::cout << "result written to " << path << "\n";
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +13,7 @@
 namespace mpss {
 namespace {
 
-Q q_from_json(const json::Value& value, const char* field) {
+Q q_from_json(json::Ref value, const char* field) {
   if (!value.is_string()) {
     throw std::invalid_argument(std::string("instance_from_json: ") + field +
                                 " must be a rational string (\"a\" or \"a/b\")");
@@ -25,36 +26,31 @@ Q q_from_json(const json::Value& value, const char* field) {
   }
 }
 
-}  // namespace
-
-json::Value power_spec_to_json_value(const PowerSpec& spec) {
-  json::Value out;
-  out.set("kind", PowerSpec::kind_name(spec.kind()));
+void write_power_spec(json::Writer& out, const PowerSpec& spec) {
+  out.begin_object();
+  out.key("kind").string(PowerSpec::kind_name(spec.kind()));
   switch (spec.kind()) {
     case PowerSpec::Kind::kDefault: break;
     case PowerSpec::Kind::kAlpha:
-      out.set("alpha", spec.alpha_value());
+      out.key("alpha").number(spec.alpha_value());
       break;
-    case PowerSpec::Kind::kPiecewise: {
-      json::Array points;
-      points.reserve(spec.points().size());
+    case PowerSpec::Kind::kPiecewise:
+      out.key("points").begin_array();
       for (const PiecewiseLinearPower::Point& point : spec.points()) {
-        points.push_back(json::Array{json::Value(point.speed),
-                                     json::Value(point.power)});
+        out.begin_array().number(point.speed).number(point.power).end_array();
       }
-      out.set("points", std::move(points));
+      out.end_array();
       break;
-    }
     case PowerSpec::Kind::kCubicLeakage:
-      out.set("cubic", spec.cubic());
-      out.set("linear", spec.linear());
-      out.set("constant", spec.constant());
+      out.key("cubic").number(spec.cubic());
+      out.key("linear").number(spec.linear());
+      out.key("constant").number(spec.constant());
       break;
   }
-  return out;
+  out.end_object();
 }
 
-PowerSpec power_spec_from_json_value(const json::Value& value) {
+PowerSpec power_spec_from_json(json::Ref value) {
   PowerSpec::Kind kind = PowerSpec::kind_from_name(value.at("kind").as_string());
   switch (kind) {
     case PowerSpec::Kind::kDefault: return PowerSpec{};
@@ -62,8 +58,8 @@ PowerSpec power_spec_from_json_value(const json::Value& value) {
       return PowerSpec::alpha(value.at("alpha").as_double());
     case PowerSpec::Kind::kPiecewise: {
       std::vector<PiecewiseLinearPower::Point> points;
-      for (const json::Value& element : value.at("points").as_array()) {
-        const json::Array& pair = element.as_array();
+      for (json::Ref element : value.at("points").as_array()) {
+        json::ArrayRef pair = element.as_array();
         check_arg(pair.size() == 2,
                   "power_spec_from_json: points must be [speed, power] pairs");
         points.push_back({pair[0].as_double(), pair[1].as_double()});
@@ -78,23 +74,33 @@ PowerSpec power_spec_from_json_value(const json::Value& value) {
   throw std::invalid_argument("power_spec_from_json: unknown kind");
 }
 
-json::Value instance_to_json_value(const Instance& instance) {
-  json::Value out;
-  out.set("mpss_instance", kInstanceJsonVersion);
-  out.set("machines", instance.machines());
-  out.set("power", power_spec_to_json_value(instance.power()));
-  json::Array jobs;
-  jobs.reserve(instance.size());
-  for (const Job& job : instance.jobs()) {
-    jobs.push_back(json::Array{json::Value(job.release.to_string()),
-                               json::Value(job.deadline.to_string()),
-                               json::Value(job.work.to_string())});
-  }
-  out.set("jobs", std::move(jobs));
-  return out;
+}  // namespace
+
+void write_rational(json::Writer& out, const Q& value) {
+  std::string& text = out.raw();
+  text.push_back('"');
+  value.append_to(text);
+  text.push_back('"');
 }
 
-Instance instance_from_json_value(const json::Value& value) {
+void write_instance(json::Writer& out, const Instance& instance) {
+  out.begin_object();
+  out.key("mpss_instance").integer(kInstanceJsonVersion);
+  out.key("machines").integer(instance.machines());
+  out.key("power");
+  write_power_spec(out, instance.power());
+  out.key("jobs").begin_array();
+  for (const Job& job : instance.jobs()) {
+    out.begin_array();
+    write_rational(out, job.release);
+    write_rational(out, job.deadline);
+    write_rational(out, job.work);
+    out.end_array();
+  }
+  out.end_array().end_object();
+}
+
+Instance instance_from_json(json::Ref value) {
   double version = value.at("mpss_instance").as_double();
   check_arg(version == static_cast<double>(kInstanceJsonVersion),
             "instance_from_json: unsupported mpss_instance version");
@@ -110,15 +116,15 @@ Instance instance_from_json_value(const json::Value& value) {
   auto machines = static_cast<std::size_t>(machines_raw);
 
   PowerSpec power;  // "power" is optional on input; absent means the default
-  if (const json::Value* spec = value.find("power")) {
-    power = power_spec_from_json_value(*spec);
+  if (std::optional<json::Ref> spec = value.find("power")) {
+    power = power_spec_from_json(*spec);
   }
 
   std::vector<Job> jobs;
-  const json::Array& rows = value.at("jobs").as_array();
+  json::ArrayRef rows = value.at("jobs").as_array();
   jobs.reserve(rows.size());
-  for (const json::Value& row : rows) {
-    const json::Array& fields = row.as_array();
+  for (json::Ref row : rows) {
+    json::ArrayRef fields = row.as_array();
     check_arg(fields.size() == 3,
               "instance_from_json: jobs must be [release, deadline, work] triples");
     jobs.push_back(Job{q_from_json(fields[0], "release"),
@@ -129,11 +135,15 @@ Instance instance_from_json_value(const json::Value& value) {
 }
 
 std::string instance_to_json(const Instance& instance) {
-  return json::serialize(instance_to_json_value(instance));
+  std::string text;
+  json::Writer out(text);
+  write_instance(out, instance);
+  return text;
 }
 
 Instance instance_from_json(std::string_view text) {
-  return instance_from_json_value(json::parse(text));
+  json::Document document(text);
+  return instance_from_json(document.root());
 }
 
 void save_instance(const Instance& instance, const std::string& path) {

@@ -6,8 +6,10 @@
 // tool that reads or writes an instance file go through this codec. The
 // encoding is exact-rational-safe: every time and work travels as a Q string
 // ("a" or "a/b"), never as a double, so parse(serialize(x)) == x bit for bit.
-// Power spec parameters are doubles serialized at max_digits10, which
-// round-trips every finite double exactly.
+// Power spec parameters are doubles in shortest round-trip form, which
+// reads back to the same double bit for bit. instance_to_json writes straight
+// from the Instance (json::Writer); instance_from_json reads a flat
+// json::Document.
 //
 // Canonical document (compact, fixed member order):
 //
@@ -31,14 +33,15 @@ namespace mpss {
 /// Version tag stamped into (and demanded from) every document.
 inline constexpr int kInstanceJsonVersion = 1;
 
-/// Document-model forms, for embedding an instance in a larger document (the
-/// wire protocol's requests).
-[[nodiscard]] json::Value instance_to_json_value(const Instance& instance);
-[[nodiscard]] Instance instance_from_json_value(const json::Value& value);
+/// Embedded forms, for an instance inside a larger document (the wire
+/// protocol's requests): write_instance appends the canonical object to a
+/// Writer, instance_from_json reads one from a parsed document.
+void write_instance(json::Writer& out, const Instance& instance);
+[[nodiscard]] Instance instance_from_json(json::Ref value);
 
-/// PowerSpec fragment codec (shared with the protocol's options payloads).
-[[nodiscard]] json::Value power_spec_to_json_value(const PowerSpec& spec);
-[[nodiscard]] PowerSpec power_spec_from_json_value(const json::Value& value);
+/// A Q as a JSON string in its canonical "a" or "a/b" form -- how every
+/// exact quantity travels (instance times and works, exact slices).
+void write_rational(json::Writer& out, const Q& value);
 
 /// Text forms. instance_from_json throws std::invalid_argument on malformed
 /// JSON, wrong/missing version, bad rationals, or an instance that fails

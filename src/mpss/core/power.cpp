@@ -150,12 +150,12 @@ const char* PowerSpec::kind_name(Kind kind) {
   return "unknown";
 }
 
-PowerSpec::Kind PowerSpec::kind_from_name(const std::string& name) {
+PowerSpec::Kind PowerSpec::kind_from_name(std::string_view name) {
   if (name == "default") return Kind::kDefault;
   if (name == "alpha") return Kind::kAlpha;
   if (name == "piecewise") return Kind::kPiecewise;
   if (name == "cubic_leakage") return Kind::kCubicLeakage;
-  throw std::invalid_argument("PowerSpec: unknown kind '" + name + "'");
+  throw std::invalid_argument("PowerSpec: unknown kind '" + std::string(name) + "'");
 }
 
 bool operator==(const PowerSpec& lhs, const PowerSpec& rhs) {

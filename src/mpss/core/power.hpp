@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpss {
@@ -145,7 +146,7 @@ class PowerSpec {
   /// its inverse (nullptr-free: throws std::invalid_argument on unknown names);
   /// the JSON codec's tags.
   [[nodiscard]] static const char* kind_name(Kind kind);
-  [[nodiscard]] static Kind kind_from_name(const std::string& name);
+  [[nodiscard]] static Kind kind_from_name(std::string_view name);
 
   friend bool operator==(const PowerSpec& lhs, const PowerSpec& rhs);
 

@@ -22,6 +22,12 @@ void Schedule::add(std::size_t machine, Slice slice) {
   check_arg(slice.start < slice.end, "Schedule::add: slice needs start < end");
   check_arg(slice.speed.sign() > 0, "Schedule::add: slice speed must be positive");
   std::vector<Slice>& slices = machines_[machine];
+  // In-order adds (engines and decoders emit slices by start) append: a start
+  // at or after the last one is exactly where upper_bound would land.
+  if (slices.empty() || !(slice.start < slices.back().start)) {
+    slices.push_back(std::move(slice));
+    return;
+  }
   auto at = std::upper_bound(slices.begin(), slices.end(), slice.start,
                              [](const Q& start, const Slice& s) { return start < s.start; });
   slices.insert(at, std::move(slice));

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace mpss::net {
@@ -39,8 +41,8 @@ std::uint64_t checked_u64(double raw, const char* what) {
   return static_cast<std::uint64_t>(raw);
 }
 
-std::uint64_t id_from(const json::Value& document) {
-  if (const json::Value* id = document.find("id")) {
+std::uint64_t id_from(json::Ref document) {
+  if (std::optional<json::Ref> id = document.find("id")) {
     double raw = id->as_double();
     if (!(raw >= 0.0 && raw <= kMaxExactDouble && raw == std::floor(raw))) {
       throw ProtocolError(ErrorCode::kBadRequest,
@@ -51,65 +53,83 @@ std::uint64_t id_from(const json::Value& document) {
   return 0;
 }
 
-void check_version(const json::Value& document) {
-  const json::Value* version = document.find("v");
-  if (version == nullptr || !version->is_number() ||
+void check_version(json::Ref document) {
+  std::optional<json::Ref> version = document.find("v");
+  if (!version || !version->is_number() ||
       version->as_double() != static_cast<double>(kProtocolVersion)) {
     throw ProtocolError(ErrorCode::kUnsupportedVersion,
                         "protocol: expected v=" + std::to_string(kProtocolVersion));
   }
 }
 
-json::Value schedule_to_json(const SolveResult& result) {
-  json::Value out;
+void write_schedule(json::Writer& out, const SolveResult& result) {
+  out.begin_object();
   if (const Schedule* exact = result.exact_schedule()) {
-    out.set("type", "exact");
-    out.set("machines", exact->machines());
-    json::Array slices;
-    slices.reserve(exact->slice_count());
+    out.key("type").string("exact");
+    out.key("machines").integer(exact->machines());
+    out.key("slices").begin_array();
     for (std::size_t machine = 0; machine < exact->machines(); ++machine) {
       for (const Slice& slice : exact->machine(machine)) {
-        slices.push_back(json::Array{
-            json::Value(machine), json::Value(slice.start.to_string()),
-            json::Value(slice.end.to_string()), json::Value(slice.speed.to_string()),
-            json::Value(slice.job)});
+        out.begin_array().integer(machine);
+        write_rational(out, slice.start);
+        write_rational(out, slice.end);
+        write_rational(out, slice.speed);
+        out.integer(slice.job).end_array();
       }
     }
-    out.set("slices", std::move(slices));
+    out.end_array();
   } else if (const FastSchedule* fast = result.fast_schedule()) {
-    out.set("type", "fast");
-    out.set("machines", fast->machines.size());
-    json::Array slices;
-    slices.reserve(fast->slice_count());
+    out.key("type").string("fast");
+    out.key("machines").integer(fast->machines.size());
+    out.key("slices").begin_array();
     for (std::size_t machine = 0; machine < fast->machines.size(); ++machine) {
       for (const FastSlice& slice : fast->machines[machine]) {
-        slices.push_back(json::Array{json::Value(machine), json::Value(slice.start),
-                                     json::Value(slice.end), json::Value(slice.speed),
-                                     json::Value(slice.job)});
+        out.begin_array().integer(machine).number(slice.start).number(slice.end);
+        out.number(slice.speed).integer(slice.job).end_array();
       }
     }
-    out.set("slices", std::move(slices));
+    out.end_array();
   } else {
-    out.set("type", "none");
+    out.key("type").string("none");
   }
-  return out;
+  out.end_object();
 }
 
-std::size_t slice_machine(const json::Array& fields, std::size_t machines) {
-  double raw = fields[0].as_double();
+/// A double the encoder could have written: a literal past the double range
+/// parses to +-inf, which the encoder writes as null, so it cannot round-trip.
+double finite_number(json::Ref value, const char* what) {
+  const double raw = value.as_double();
+  if (!std::isfinite(raw)) {
+    throw std::invalid_argument(std::string("protocol: ") + what + " must be finite");
+  }
+  return raw;
+}
+
+std::size_t slice_machine(json::Ref field, std::size_t machines) {
+  double raw = field.as_double();
   if (raw < 0 || raw >= static_cast<double>(machines) || raw != std::floor(raw)) {
     throw std::invalid_argument("protocol: slice machine index out of range");
   }
   return static_cast<std::size_t>(raw);
 }
 
-std::size_t slice_job(const json::Value& value) {
+std::size_t slice_job(json::Ref value) {
   return static_cast<std::size_t>(
       checked_u64(value.as_double(), "slice job index"));
 }
 
-void schedule_from_json(const json::Value& value, SolveResult& result) {
-  const std::string& type = value.at("type").as_string();
+/// One [machine, start, end, speed, job] row, checked for its arity.
+json::ArrayRef slice_fields(json::Ref row) {
+  json::ArrayRef fields = row.as_array();
+  if (fields.size() != 5) {
+    throw std::invalid_argument(
+        "protocol: slices must be [machine, start, end, speed, job]");
+  }
+  return fields;
+}
+
+void schedule_from_json(json::Ref value, SolveResult& result) {
+  const std::string_view type = value.at("type").as_string();
   if (type == "none") return;
   double machines_raw = value.at("machines").as_double();
   if (!(machines_raw >= 1.0 && machines_raw <= kMaxExactDouble &&
@@ -117,51 +137,50 @@ void schedule_from_json(const json::Value& value, SolveResult& result) {
     throw std::invalid_argument("protocol: schedule machines must be >= 1");
   }
   auto machines = static_cast<std::size_t>(machines_raw);
-  const json::Array& slices = value.at("slices").as_array();
+  json::ArrayRef slices = value.at("slices").as_array();
   if (type == "exact") {
     Schedule schedule(machines);
-    for (const json::Value& row : slices) {
-      const json::Array& fields = row.as_array();
-      if (fields.size() != 5) {
-        throw std::invalid_argument(
-            "protocol: slices must be [machine, start, end, speed, job]");
-      }
-      schedule.add(slice_machine(fields, machines),
-                   Slice{Q::from_string(fields[1].as_string()),
-                         Q::from_string(fields[2].as_string()),
-                         Q::from_string(fields[3].as_string()),
-                         slice_job(fields[4])});
+    for (json::Ref row : slices) {
+      json::ArrayRef fields = slice_fields(row);
+      auto field = fields.begin();
+      const std::size_t machine = slice_machine(*field, machines);
+      Q start = Q::from_string((*++field).as_string());
+      Q end = Q::from_string((*++field).as_string());
+      Q speed = Q::from_string((*++field).as_string());
+      schedule.add(machine, Slice{std::move(start), std::move(end), std::move(speed),
+                                  slice_job(*++field)});
     }
     result.schedule = std::move(schedule);
   } else if (type == "fast") {
     FastSchedule schedule;
     schedule.machines.resize(machines);
-    for (const json::Value& row : slices) {
-      const json::Array& fields = row.as_array();
-      if (fields.size() != 5) {
-        throw std::invalid_argument(
-            "protocol: slices must be [machine, start, end, speed, job]");
-      }
-      schedule.machines[slice_machine(fields, machines)].push_back(
-          FastSlice{fields[1].as_double(), fields[2].as_double(),
-                    fields[3].as_double(), slice_job(fields[4])});
+    for (json::Ref row : slices) {
+      json::ArrayRef fields = slice_fields(row);
+      auto field = fields.begin();
+      const std::size_t machine = slice_machine(*field, machines);
+      const double start = finite_number(*++field, "slice start");
+      const double end = finite_number(*++field, "slice end");
+      const double speed = finite_number(*++field, "slice speed");
+      schedule.machines[machine].push_back(
+          FastSlice{start, end, speed, slice_job(*++field)});
     }
     result.schedule = std::move(schedule);
   } else {
-    throw std::invalid_argument("protocol: unknown schedule type '" + type + "'");
+    throw std::invalid_argument("protocol: unknown schedule type '" +
+                                std::string(type) + "'");
   }
 }
 
 /// Parses a trace-context field: a full 64-bit value encoded as a decimal
 /// string (doubles cannot carry ids above 2^53 exactly, so numbers are
 /// rejected -- a client that sent one would get back corrupted parenting).
-std::uint64_t trace_field(const json::Value& value, const char* what) {
+std::uint64_t trace_field(json::Ref value, const char* what) {
   if (!value.is_string()) {
     throw ProtocolError(ErrorCode::kBadRequest,
                         std::string("protocol: trace ") + what +
                             " must be a decimal string");
   }
-  const std::string& text = value.as_string();
+  const std::string_view text = value.as_string();
   std::uint64_t parsed = 0;
   auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), parsed);
@@ -173,12 +192,64 @@ std::uint64_t trace_field(const json::Value& value, const char* what) {
   return parsed;
 }
 
-json::Value response_header(std::uint64_t id, bool ok) {
-  json::Value out;
-  out.set("v", static_cast<double>(kProtocolVersion));
-  out.set("id", static_cast<double>(id));
-  out.set("ok", ok);
-  return out;
+/// Opens a request or response object with its "v" and "id" members. The id
+/// travels as a JSON number, which the decoders bound by 2^53.
+void write_header(json::Writer& out, std::uint64_t id) {
+  out.begin_object();
+  out.key("v").integer(kProtocolVersion);
+  out.key("id").number(static_cast<double>(id));
+}
+
+void write_response_header(json::Writer& out, std::uint64_t id, bool ok) {
+  write_header(out, id);
+  out.key("ok").boolean(ok);
+}
+
+void write_solve_options(json::Writer& out, const SolveOptions& options) {
+  out.begin_object();
+  out.key("engine").string(engine_name(options.engine));
+  out.key("fast_epsilon").number(options.fast_epsilon);
+  out.key("lp_grid").integer(options.lp_grid);
+  out.key("lp_max_speed_hint").number(options.lp_max_speed_hint);
+  out.end_object();
+}
+
+SolveOptions solve_options_from_json(json::Ref value) {
+  SolveOptions options;
+  if (std::optional<json::Ref> engine = value.find("engine")) {
+    std::optional<Engine> parsed = engine_from_name(engine->as_string());
+    if (!parsed) {
+      throw std::invalid_argument("protocol: unknown engine '" +
+                                  std::string(engine->as_string()) + "'");
+    }
+    options.engine = *parsed;
+  }
+  if (std::optional<json::Ref> v = value.find("fast_epsilon")) {
+    options.fast_epsilon = v->as_double();
+  }
+  if (std::optional<json::Ref> v = value.find("lp_grid")) {
+    options.lp_grid = static_cast<std::size_t>(
+        checked_u64(v->as_double(), "lp_grid"));
+  }
+  if (std::optional<json::Ref> v = value.find("lp_max_speed_hint")) {
+    options.lp_max_speed_hint = v->as_double();
+  }
+  return options;
+}
+
+SolveResult result_from_json(json::Ref value) {
+  SolveResult result;
+  const std::string_view status_name = value.at("status").as_string();
+  std::optional<SolveStatus> status = solve_status_from_name(status_name);
+  if (!status) {
+    throw std::invalid_argument("protocol: unknown solve status '" +
+                                std::string(status_name) + "'");
+  }
+  result.status = *status;
+  result.error_detail = value.at("error_detail").as_string();
+  result.energy = finite_number(value.at("energy"), "energy");
+  schedule_from_json(value.at("schedule"), result);
+  return result;
 }
 
 }  // namespace
@@ -229,116 +300,76 @@ std::optional<ErrorCode> error_code_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-json::Value solve_options_to_json_value(const SolveOptions& options) {
-  json::Value out;
-  out.set("engine", engine_name(options.engine));
-  out.set("fast_epsilon", options.fast_epsilon);
-  out.set("lp_grid", options.lp_grid);
-  out.set("lp_max_speed_hint", options.lp_max_speed_hint);
-  return out;
-}
-
-SolveOptions solve_options_from_json_value(const json::Value& value) {
-  SolveOptions options;
-  if (const json::Value* engine = value.find("engine")) {
-    std::optional<Engine> parsed = engine_from_name(engine->as_string());
-    if (!parsed) {
-      throw std::invalid_argument("protocol: unknown engine '" +
-                                  engine->as_string() + "'");
-    }
-    options.engine = *parsed;
-  }
-  if (const json::Value* v = value.find("fast_epsilon")) {
-    options.fast_epsilon = v->as_double();
-  }
-  if (const json::Value* v = value.find("lp_grid")) {
-    options.lp_grid = static_cast<std::size_t>(
-        checked_u64(v->as_double(), "lp_grid"));
-  }
-  if (const json::Value* v = value.find("lp_max_speed_hint")) {
-    options.lp_max_speed_hint = v->as_double();
-  }
-  return options;
-}
-
-json::Value result_to_json_value(const SolveResult& result) {
-  json::Value out;
-  out.set("status", solve_status_name(result.status));
-  out.set("error_detail", result.error_detail);
-  out.set("energy", result.energy);
-  out.set("schedule", schedule_to_json(result));
-  return out;
-}
-
-SolveResult result_from_json_value(const json::Value& value) {
-  SolveResult result;
-  std::optional<SolveStatus> status =
-      solve_status_from_name(value.at("status").as_string());
-  if (!status) {
-    throw std::invalid_argument("protocol: unknown solve status '" +
-                                value.at("status").as_string() + "'");
-  }
-  result.status = *status;
-  result.error_detail = value.at("error_detail").as_string();
-  result.energy = value.at("energy").as_double();
-  schedule_from_json(value.at("schedule"), result);
-  return result;
+void write_result(json::Writer& out, const SolveResult& result) {
+  out.begin_object();
+  out.key("status").string(solve_status_name(result.status));
+  out.key("error_detail").string(result.error_detail);
+  out.key("energy").number(result.energy);
+  out.key("schedule");
+  write_schedule(out, result);
+  out.end_object();
 }
 
 std::string encode_request(const Request& request) {
-  json::Value out;
-  out.set("v", static_cast<double>(kProtocolVersion));
-  out.set("id", static_cast<double>(request.id));
-  out.set("verb", verb_name(request.verb));
+  std::string text;
+  json::Writer out(text);
+  write_header(out, request.id);
+  out.key("verb").string(verb_name(request.verb));
   if (request.verb == Verb::kSolve) {
-    out.set("instance", instance_to_json_value(request.instances.at(0)));
-    out.set("options", solve_options_to_json_value(request.options));
+    out.key("instance");
+    write_instance(out, request.instances.at(0));
+    out.key("options");
+    write_solve_options(out, request.options);
   } else if (request.verb == Verb::kSolveMany) {
-    json::Array instances;
-    instances.reserve(request.instances.size());
-    for (const Instance& instance : request.instances) {
-      instances.push_back(instance_to_json_value(instance));
-    }
-    out.set("instances", std::move(instances));
-    out.set("options", solve_options_to_json_value(request.options));
+    out.key("instances").begin_array();
+    for (const Instance& instance : request.instances) write_instance(out, instance);
+    out.end_array();
+    out.key("options");
+    write_solve_options(out, request.options);
   }
-  if (request.priority != 0) out.set("priority", static_cast<double>(request.priority));
+  if (request.priority != 0) {
+    out.key("priority").number(static_cast<double>(request.priority));
+  }
   if (request.deadline_ms != 0) {
-    out.set("deadline_ms", static_cast<double>(request.deadline_ms));
+    out.key("deadline_ms").number(static_cast<double>(request.deadline_ms));
   }
   if (request.trace_id != 0) {
-    json::Value trace;
-    trace.set("id", std::to_string(request.trace_id));
-    trace.set("parent", std::to_string(request.parent_span));
-    out.set("trace", std::move(trace));
+    out.key("trace").begin_object();
+    out.key("id").string(std::to_string(request.trace_id));
+    out.key("parent").string(std::to_string(request.parent_span));
+    out.end_object();
   }
-  return json::serialize(out);
+  out.end_object();
+  return text;
 }
 
 Request decode_request(std::string_view payload) {
   return bad_request_scope([&] {
-    json::Value document = json::parse(payload);
+    json::Document parsed(payload);
+    json::Ref document = parsed.root();
     check_version(document);
     Request request;
     request.id = id_from(document);
-    const std::string& verb = document.at("verb").as_string();
-    std::optional<Verb> parsed = verb_from_name(verb);
-    if (!parsed) {
+    const std::string_view verb = document.at("verb").as_string();
+    std::optional<Verb> verb_parsed = verb_from_name(verb);
+    if (!verb_parsed) {
       throw ProtocolError(ErrorCode::kUnknownVerb,
-                          "protocol: unknown verb '" + verb + "'");
+                          "protocol: unknown verb '" + std::string(verb) + "'");
     }
-    request.verb = *parsed;
+    request.verb = *verb_parsed;
     if (request.verb == Verb::kSolve) {
-      request.instances.push_back(instance_from_json_value(document.at("instance")));
+      request.instances.push_back(instance_from_json(document.at("instance")));
     } else if (request.verb == Verb::kSolveMany) {
-      for (const json::Value& element : document.at("instances").as_array()) {
-        request.instances.push_back(instance_from_json_value(element));
+      json::ArrayRef instances = document.at("instances").as_array();
+      request.instances.reserve(instances.size());
+      for (json::Ref element : instances) {
+        request.instances.push_back(instance_from_json(element));
       }
     }
-    if (const json::Value* options = document.find("options")) {
-      request.options = solve_options_from_json_value(*options);
+    if (std::optional<json::Ref> options = document.find("options")) {
+      request.options = solve_options_from_json(*options);
     }
-    if (const json::Value* priority = document.find("priority")) {
+    if (std::optional<json::Ref> priority = document.find("priority")) {
       double raw = priority->as_double();
       if (!(raw >= -2147483648.0 && raw <= 2147483647.0 &&
             raw == std::floor(raw))) {
@@ -347,7 +378,7 @@ Request decode_request(std::string_view payload) {
       }
       request.priority = static_cast<int>(raw);
     }
-    if (const json::Value* deadline = document.find("deadline_ms")) {
+    if (std::optional<json::Ref> deadline = document.find("deadline_ms")) {
       double raw = deadline->as_double();
       // Accepting-direction check: NaN fails every comparison, so `raw < 0`
       // alone would wave NaN through to an undefined cast.
@@ -357,9 +388,9 @@ Request decode_request(std::string_view payload) {
       }
       request.deadline_ms = static_cast<std::int64_t>(raw);
     }
-    if (const json::Value* trace = document.find("trace")) {
+    if (std::optional<json::Ref> trace = document.find("trace")) {
       request.trace_id = trace_field(trace->at("id"), "id");
-      if (const json::Value* parent = trace->find("parent")) {
+      if (std::optional<json::Ref> parent = trace->find("parent")) {
         request.parent_span = trace_field(*parent, "parent");
       }
     }
@@ -369,59 +400,66 @@ Request decode_request(std::string_view payload) {
 
 std::string encode_results_response(std::uint64_t id,
                                     std::span<const SolveResult> results) {
-  json::Value out = response_header(id, true);
-  json::Array encoded;
-  encoded.reserve(results.size());
-  for (const SolveResult& result : results) {
-    encoded.push_back(result_to_json_value(result));
-  }
-  out.set("results", std::move(encoded));
-  return json::serialize(out);
+  std::string text;
+  json::Writer out(text);
+  write_response_header(out, id, true);
+  out.key("results").begin_array();
+  for (const SolveResult& result : results) write_result(out, result);
+  out.end_array().end_object();
+  return text;
 }
 
 std::string encode_payload_response(std::uint64_t id, std::string_view key,
                                     json::Value payload) {
-  json::Value out = response_header(id, true);
-  out.set(std::string(key), std::move(payload));
-  return json::serialize(out);
+  std::string text;
+  json::Writer out(text);
+  write_response_header(out, id, true);
+  out.key(key).value(payload);
+  out.end_object();
+  return text;
 }
 
 std::string encode_error_response(std::uint64_t id, ErrorCode code,
                                   std::string_view detail) {
-  json::Value out = response_header(id, false);
-  json::Value error;
-  error.set("code", error_code_name(code));
-  error.set("detail", detail);
-  out.set("error", std::move(error));
-  return json::serialize(out);
+  std::string text;
+  json::Writer out(text);
+  write_response_header(out, id, false);
+  out.key("error").begin_object();
+  out.key("code").string(error_code_name(code));
+  out.key("detail").string(detail);
+  out.end_object().end_object();
+  return text;
 }
 
 Response decode_response(std::string_view payload) {
   return bad_request_scope([&] {
-    json::Value document = json::parse(payload);
+    json::Document parsed(payload);
+    json::Ref document = parsed.root();
     check_version(document);
     Response response;
     response.id = id_from(document);
     response.ok = document.at("ok").as_bool();
     if (!response.ok) {
-      const json::Value& error = document.at("error");
-      const std::string& code = error.at("code").as_string();
-      std::optional<ErrorCode> parsed = error_code_from_name(code);
-      if (!parsed) {
+      json::Ref error = document.at("error");
+      const std::string_view code = error.at("code").as_string();
+      std::optional<ErrorCode> code_parsed = error_code_from_name(code);
+      if (!code_parsed) {
         throw ProtocolError(ErrorCode::kBadRequest,
-                            "protocol: unknown error code '" + code + "'");
+                            "protocol: unknown error code '" + std::string(code) + "'");
       }
-      response.code = *parsed;
+      response.code = *code_parsed;
       response.detail = error.at("detail").as_string();
       return response;
     }
-    if (const json::Value* results = document.find("results")) {
-      for (const json::Value& element : results->as_array()) {
-        response.results.push_back(result_from_json_value(element));
+    if (std::optional<json::Ref> results = document.find("results")) {
+      json::ArrayRef elements = results->as_array();
+      response.results.reserve(elements.size());
+      for (json::Ref element : elements) {
+        response.results.push_back(result_from_json(element));
       }
     } else {
       // Verb-shaped payload: keep the whole document for the caller.
-      response.payload = document;
+      response.payload = document.to_value();
     }
     return response;
   });

@@ -30,8 +30,14 @@
 // solve-level failures are NOT transport errors -- they come back ok:true with
 // the result's status ("invalid_options", "infeasible", ...) and its
 // error_detail, exactly as the in-process facade reports them. Exact schedules
-// travel as rational strings and energies at max_digits10, so a decoded result
-// is bit-identical to the in-process one.
+// travel as rational strings and doubles in shortest round-trip form, so a
+// decoded result is bit-identical to the in-process one.
+//
+// The encoders write straight from the request, instance and result objects
+// (json::Writer), and the decoders read a flat json::Document, so neither
+// direction builds a json::Value tree on the solve path. The only options on
+// the wire are the engine and the result-shaping knobs (fast_epsilon, lp_grid,
+// lp_max_speed_hint); members absent from a request keep their defaults.
 
 #include <cstdint>
 #include <optional>
@@ -105,16 +111,11 @@ struct Request {
 /// Throws ProtocolError (kBadRequest / kUnsupportedVersion / kUnknownVerb).
 [[nodiscard]] Request decode_request(std::string_view payload);
 
-/// The wire-expressible subset of SolveOptions (engine + every serializable
-/// result-shaping knob; the pointer knobs -- power, trace, cancel -- do not
-/// travel). Members absent from the JSON keep their defaults.
-[[nodiscard]] json::Value solve_options_to_json_value(const SolveOptions& options);
-[[nodiscard]] SolveOptions solve_options_from_json_value(const json::Value& value);
-
-/// SolveResult codec: status + error_detail + energy + schedule. SolveStats
-/// telemetry stays server-side (the daemon's Registry aggregates it).
-[[nodiscard]] json::Value result_to_json_value(const SolveResult& result);
-[[nodiscard]] SolveResult result_from_json_value(const json::Value& value);
+/// The result object a "results" reply carries for one SolveResult: status,
+/// error_detail, energy and schedule (SolveStats telemetry stays server-side;
+/// the daemon's Registry aggregates it). Written straight from the schedule;
+/// `trace_tool run --save` stores the same object.
+void write_result(json::Writer& out, const SolveResult& result);
 
 [[nodiscard]] std::string encode_results_response(
     std::uint64_t id, std::span<const SolveResult> results);

@@ -23,7 +23,7 @@ constexpr std::size_t kKindCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
 /// One JSONL object as an event: integer fields through as_u64 (exact, and
 /// never a negative or out-of-range number through a cast), absent keys left
 /// at their defaults, unknown keys of any type ignored.
-TraceEvent event_from_json(const json::Value& line) {
+TraceEvent event_from_json(json::Ref line) {
   TraceEvent event;
   for (const auto& [key, value] : line.as_object()) {
     if (key == "seq") event.seq = value.as_u64();
@@ -125,20 +125,23 @@ bool JsonlSink::ok() const {
 }
 
 std::string to_jsonl(const TraceEvent& event) {
-  json::Value line;
-  line.set("seq", event.seq);
-  line.set("kind", event_kind_name(event.kind));
-  line.set("label", event.label);
-  line.set("a", event.a);
-  line.set("b", event.b);
-  line.set("span", event.span);
-  line.set("value", event.value);
-  line.set("t", event.t_seconds);
+  std::string line;
+  json::Writer out(line);
+  out.begin_object();
+  out.key("seq").integer(event.seq);
+  out.key("kind").string(event_kind_name(event.kind));
+  out.key("label").string(event.label);
+  out.key("a").integer(event.a);
+  out.key("b").integer(event.b);
+  out.key("span").integer(event.span);
+  out.key("value").number(event.value);
+  out.key("t").number(event.t_seconds);
   // Emitted only when set: untraced output stays byte-identical to the
   // pre-distributed-tracing encoding (differential tests pin those bytes).
-  if (event.trace != 0) line.set("trace", event.trace);
-  if (event.remote_parent != 0) line.set("rparent", event.remote_parent);
-  return json::serialize(line);
+  if (event.trace != 0) out.key("trace").integer(event.trace);
+  if (event.remote_parent != 0) out.key("rparent").integer(event.remote_parent);
+  out.end_object();
+  return line;
 }
 
 std::vector<TraceEvent> parse_trace_jsonl(std::istream& in) {
@@ -147,7 +150,8 @@ std::vector<TraceEvent> parse_trace_jsonl(std::istream& in) {
   for (std::size_t number = 1; std::getline(in, line); ++number) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     try {
-      events.push_back(event_from_json(json::parse(line)));
+      json::Document document(line);
+      events.push_back(event_from_json(document.root()));
     } catch (const std::invalid_argument& error) {
       throw std::invalid_argument("parse_trace_jsonl: line " + std::to_string(number) +
                                   ": " + error.what() + ": " + line);

@@ -151,7 +151,7 @@ class JsonlSink final : public TraceSink {
 
 /// Parses JSONL produced by JsonlSink back into events, one JSON object per
 /// non-blank line. The integer fields (seq, a, b, span, trace, rparent) must be
-/// non-negative integers (json::Value::as_u64); absent keys keep their
+/// non-negative integers (json::Ref::as_u64); absent keys keep their
 /// defaults and unknown keys of any type are ignored (forward compatibility).
 /// Anything else throws std::invalid_argument naming the line.
 [[nodiscard]] std::vector<TraceEvent> parse_trace_jsonl(std::string_view text);

@@ -1,6 +1,7 @@
 #include "mpss/util/bigint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -34,29 +35,20 @@ int compare_limbs_vs_u64(const std::vector<std::uint32_t>& limbs,
 
 bool BigInt::test_force_big_ = false;
 
-BigInt::BigInt(std::int64_t value) : small_(value) {
-  if (test_force_big_) promote();
+void BigInt::copy_limbs_from(const BigInt& other) {
+  new (&limbs_) LimbVec(other.limbs_);
+  big_ = true;
+  negative_ = other.negative_;
 }
 
-BigInt::BigInt(const BigInt& other) : big_(other.big_), negative_(other.negative_) {
-  if (big_) {
-    new (&limbs_) LimbVec(other.limbs_);
-  } else {
-    small_ = other.small_;
-  }
+void BigInt::move_limbs_from(BigInt& other) noexcept {
+  new (&limbs_) LimbVec(std::move(other.limbs_));
+  big_ = true;
+  negative_ = other.negative_;
+  other.negative_ = false;  // moved-from becomes canonical zero
 }
 
-BigInt::BigInt(BigInt&& other) noexcept
-    : big_(other.big_), negative_(other.negative_) {
-  if (big_) {
-    new (&limbs_) LimbVec(std::move(other.limbs_));
-    other.negative_ = false;  // moved-from becomes canonical zero
-  } else {
-    small_ = other.small_;
-  }
-}
-
-BigInt& BigInt::operator=(const BigInt& other) {
+BigInt& BigInt::assign_limbs(const BigInt& other) {
   if (this == &other) return *this;
   if (big_ && other.big_) {
     limbs_ = other.limbs_;  // reuse capacity
@@ -64,17 +56,15 @@ BigInt& BigInt::operator=(const BigInt& other) {
     new (&limbs_) LimbVec(other.limbs_);
     big_ = true;
   } else {
-    if (big_) {
-      limbs_.~LimbVec();
-      big_ = false;
-    }
+    limbs_.~LimbVec();
+    big_ = false;
     small_ = other.small_;
   }
   negative_ = other.negative_;
   return *this;
 }
 
-BigInt& BigInt::operator=(BigInt&& other) noexcept {
+BigInt& BigInt::move_assign_limbs(BigInt& other) noexcept {
   if (this == &other) return *this;
   if (big_ && other.big_) {
     limbs_ = std::move(other.limbs_);
@@ -82,19 +72,13 @@ BigInt& BigInt::operator=(BigInt&& other) noexcept {
     new (&limbs_) LimbVec(std::move(other.limbs_));
     big_ = true;
   } else {
-    if (big_) {
-      limbs_.~LimbVec();
-      big_ = false;
-    }
+    limbs_.~LimbVec();
+    big_ = false;
     small_ = other.small_;
   }
   negative_ = other.negative_;
   if (other.big_) other.negative_ = false;
   return *this;
-}
-
-BigInt::~BigInt() {
-  if (big_) limbs_.~LimbVec();
 }
 
 void BigInt::promote() {
@@ -179,6 +163,17 @@ BigInt BigInt::from_string(std::string_view text) {
     pos = 1;
   }
   if (pos == text.size()) throw std::invalid_argument("BigInt::from_string: lone sign");
+  // Up to 18 digits always fit int64: one std::from_chars call, which for an
+  // unsigned type reads digits only.
+  if (text.size() - pos <= 18) {
+    std::uint64_t magnitude = 0;
+    const char* last = text.data() + text.size();
+    auto [end, error] = std::from_chars(text.data() + pos, last, magnitude);
+    if (end != last || error != std::errc{})
+      throw std::invalid_argument("BigInt::from_string: non-digit character");
+    const auto value = static_cast<std::int64_t>(magnitude);
+    return BigInt(negative ? -value : value);
+  }
   BigInt result;
   for (; pos < text.size(); ++pos) {
     char c = text[pos];
@@ -377,6 +372,7 @@ BigInt BigInt::negated() const {
   }
   BigInt out = *this;
   if (!out.limbs_.empty()) out.negative_ = !out.negative_;
+  out.demote_if_fits();  // +2^63 negates to INT64_MIN, which is small
   return out;
 }
 
@@ -570,6 +566,16 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     a = std::move(b);
     b = std::move(r);
   }
+}
+
+void BigInt::append_to(std::string& out) const {
+  if (!small_repr()) {
+    out += to_string();
+    return;
+  }
+  char buffer[24];
+  char* end = std::to_chars(buffer, buffer + sizeof buffer, small_).ptr;
+  out.append(buffer, end);
 }
 
 std::string BigInt::to_string() const {

@@ -41,14 +41,40 @@ class BigInt {
   BigInt() noexcept : small_(0) {}
 
   /// From built-in integer. Always small (unless the test force-big mode is on).
-  BigInt(std::int64_t value);  // NOLINT(google-explicit-constructor): intentional
+  BigInt(std::int64_t value) : small_(value) {  // NOLINT: intentional
+    if (test_force_big_) [[unlikely]] promote();
+  }
   BigInt(int value) : BigInt(static_cast<std::int64_t>(value)) {}
 
-  BigInt(const BigInt& other);
-  BigInt(BigInt&& other) noexcept;
-  BigInt& operator=(const BigInt& other);
-  BigInt& operator=(BigInt&& other) noexcept;
-  ~BigInt();
+  // Copies, moves and destruction are inline for the small representation
+  // (a Slice copy runs six of them); only the limb branch leaves the header.
+  BigInt(const BigInt& other) {
+    if (other.big_) [[unlikely]] {
+      copy_limbs_from(other);
+    } else {
+      small_ = other.small_;
+    }
+  }
+  BigInt(BigInt&& other) noexcept {
+    if (other.big_) [[unlikely]] {
+      move_limbs_from(other);
+    } else {
+      small_ = other.small_;
+    }
+  }
+  BigInt& operator=(const BigInt& other) {
+    if (big_ || other.big_) [[unlikely]] return assign_limbs(other);
+    small_ = other.small_;
+    return *this;
+  }
+  BigInt& operator=(BigInt&& other) noexcept {
+    if (big_ || other.big_) [[unlikely]] return move_assign_limbs(other);
+    small_ = other.small_;
+    return *this;
+  }
+  ~BigInt() {
+    if (big_) [[unlikely]] limbs_.~LimbVec();
+  }
 
   /// Parses an optionally signed decimal string. Throws std::invalid_argument on
   /// malformed input (empty, non-digits, lone sign).
@@ -103,6 +129,9 @@ class BigInt {
 
   /// Decimal representation (with leading '-' when negative).
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string() to `out`; the small representation is formatted in
+  /// place with std::to_chars, without a temporary string.
+  void append_to(std::string& out) const;
 
   /// Nearest double (may overflow to +/-inf for huge values).
   [[nodiscard]] double to_double() const;
@@ -148,6 +177,10 @@ class BigInt {
   [[nodiscard]] bool small_repr() const { return !big_; }
 
   // Representation management (bigint.cpp).
+  void copy_limbs_from(const BigInt& other);      // construct as a big copy
+  void move_limbs_from(BigInt& other) noexcept;   // construct from a big value
+  BigInt& assign_limbs(const BigInt& other);       // either side big
+  BigInt& move_assign_limbs(BigInt& other) noexcept;
   void promote();            // small -> big, value preserved
   void demote_if_fits();     // big -> small when the magnitude fits int64
   void adopt_limbs(LimbVec limbs, bool negative);  // become big with these limbs

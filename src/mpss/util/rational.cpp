@@ -206,8 +206,16 @@ BigInt Rational::ceil() const {
 double Rational::to_double() const { return num_.to_double() / den_.to_double(); }
 
 std::string Rational::to_string() const {
-  if (is_integer()) return num_.to_string();
-  return num_.to_string() + "/" + den_.to_string();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Rational::append_to(std::string& out) const {
+  num_.append_to(out);
+  if (is_integer()) return;
+  out.push_back('/');
+  den_.append_to(out);
 }
 
 std::ostream& operator<<(std::ostream& os, const Rational& value) {

@@ -105,6 +105,8 @@ class Rational {
 
   /// "num" when integral, otherwise "num/den".
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string() to `out` (std::to_chars on BigInt's small path).
+  void append_to(std::string& out) const;
 
   [[nodiscard]] std::size_t hash() const {
     return num_.hash() * 0x100000001b3ull ^ den_.hash();

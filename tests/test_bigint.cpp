@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include "mpss/util/numeric_counters.hpp"
 #include "mpss/util/random.hpp"
@@ -65,6 +67,56 @@ TEST(BigInt, FromStringRejectsGarbage) {
   EXPECT_THROW((void)BigInt::from_string("-"), std::invalid_argument);
   EXPECT_THROW((void)BigInt::from_string("12a3"), std::invalid_argument);
   EXPECT_THROW((void)BigInt::from_string(" 12"), std::invalid_argument);
+}
+
+/// what() of the std::invalid_argument BigInt::from_string throws on `text`.
+std::string from_string_error(std::string_view text) {
+  try {
+    (void)BigInt::from_string(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(accepted)";
+}
+
+TEST(BigInt, FromStringAroundTheWordBoundary) {
+  // 18 digits always fit int64, 19 may not; both lengths, both signs, the
+  // int64 extremes and one past them, with and without the limb mode.
+  for (bool force_big : {false, true}) {
+    BigInt::set_test_force_big(force_big);
+    EXPECT_EQ(BigInt::from_string("999999999999999999").to_string(),
+              "999999999999999999");
+    EXPECT_EQ(BigInt::from_string("-999999999999999999").to_int64(),
+              -999999999999999999);
+    EXPECT_EQ(BigInt::from_string("1000000000000000000").to_int64(),
+              1000000000000000000);
+    EXPECT_EQ(BigInt::from_string("9223372036854775807").to_int64(), INT64_MAX);
+    EXPECT_EQ(BigInt::from_string("-9223372036854775808").to_int64(), INT64_MIN);
+    EXPECT_EQ(BigInt::from_string("9223372036854775808").to_string(),
+              "9223372036854775808");
+    EXPECT_EQ(BigInt::from_string("-9223372036854775809").to_string(),
+              "-9223372036854775809");
+    EXPECT_EQ(BigInt::from_string("+5"), BigInt(5));
+    EXPECT_EQ(BigInt::from_string("-0"), BigInt(0));
+    EXPECT_FALSE(BigInt::from_string("-0").is_negative());
+    EXPECT_EQ(BigInt::from_string("-000000000000000000000000007").to_int64(), -7);
+    EXPECT_EQ(BigInt::from_string("7").is_small(), !force_big);
+    EXPECT_EQ(from_string_error(""), "BigInt::from_string: empty string");
+    EXPECT_EQ(from_string_error("-"), "BigInt::from_string: lone sign");
+    EXPECT_EQ(from_string_error("+"), "BigInt::from_string: lone sign");
+    EXPECT_EQ(from_string_error("1a"), "BigInt::from_string: non-digit character");
+    EXPECT_EQ(from_string_error("--1"), "BigInt::from_string: non-digit character");
+    EXPECT_EQ(from_string_error("-+1"), "BigInt::from_string: non-digit character");
+    EXPECT_EQ(from_string_error("12345678901234567890x"),
+              "BigInt::from_string: non-digit character");
+    EXPECT_EQ(from_string_error("1 "), "BigInt::from_string: non-digit character");
+  }
+  BigInt::set_test_force_big(false);
+  EXPECT_FALSE(BigInt::from_string("9223372036854775808").is_small());
+  // Canonical representation: INT64_MIN is small however it is reached,
+  // including by negating the limb value 2^63.
+  EXPECT_TRUE(BigInt::from_string("-9223372036854775808").is_small());
+  EXPECT_TRUE(BigInt::from_string("9223372036854775808").negated().is_small());
 }
 
 TEST(BigInt, StringRoundTripOnHugeValue) {

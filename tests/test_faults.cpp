@@ -726,5 +726,25 @@ TEST(FuzzRegression, HugeScheduleIndicesAreRejectedNotCast) {
   EXPECT_THROW(decode_response(bad_job), ProtocolError);
 }
 
+TEST(FuzzRegression, OverflowingReplyNumbersAreRejected) {
+  // A literal past the double range parses to inf, which no encoder writes
+  // (it writes null), so a reply carrying one could not round-trip: the
+  // fuzzer's re-encode check found it in a fast slice's speed.
+  const std::string head =
+      R"({"v":1,"id":1,"ok":true,"results":[{"status":"ok","error_detail":"",)";
+  const std::string fast_tail =
+      R"("schedule":{"type":"fast","machines":1,"slices":[[0,0,1,SPEED,0]]}}]})";
+  auto fast_reply = [&](const char* energy, const char* speed) {
+    std::string tail = fast_tail;
+    tail.replace(tail.find("SPEED"), 5, speed);
+    return head + R"("energy":)" + energy + "," + tail;
+  };
+  EXPECT_NO_THROW((void)decode_response(fast_reply("2.5", "1.5")));
+  EXPECT_THROW((void)decode_response(fast_reply("1e400", "1.5")), ProtocolError);
+  EXPECT_THROW((void)decode_response(fast_reply("2.5", "1.19E761904761905")),
+               ProtocolError);
+  EXPECT_THROW((void)decode_response(fast_reply("2.5", "-1e999")), ProtocolError);
+}
+
 }  // namespace
 }  // namespace mpss::net

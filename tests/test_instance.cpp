@@ -134,7 +134,8 @@ TEST(InstanceJson, EveryPowerKindRoundTrips) {
       PowerSpec::piecewise({{0.0, 0.0}, {1.0, 1.0}, {2.0, 8.0}}),
       PowerSpec::cubic_leakage(1.0, 0.5, 0.25)};
   for (const PowerSpec& spec : specs) {
-    PowerSpec decoded = power_spec_from_json_value(power_spec_to_json_value(spec));
+    Instance instance({Job{Q(0), Q(1), Q(1)}}, 1, spec);
+    PowerSpec decoded = instance_from_json(instance_to_json(instance)).power();
     EXPECT_EQ(spec, decoded) << spec.name();
   }
 }

@@ -8,11 +8,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -182,7 +187,10 @@ TEST(Protocol, ResultRoundTripsBitIdentically) {
   ASSERT_TRUE(original.ok());
   ASSERT_NE(original.exact_schedule(), nullptr);
 
-  SolveResult decoded = result_from_json_value(result_to_json_value(original));
+  Response response =
+      decode_response(encode_results_response(1, std::span(&original, 1)));
+  ASSERT_EQ(response.results.size(), 1u);
+  const SolveResult& decoded = response.results[0];
   EXPECT_EQ(decoded.status, original.status);
   EXPECT_EQ(decoded.error_detail, original.error_detail);
   EXPECT_EQ(decoded.energy, original.energy);  // bit-equal doubles
@@ -217,8 +225,10 @@ TEST(Protocol, RetiredIncrementalKeysAreIgnored) {
 
   Request decoded = decode_request(json::serialize(json::Value(members)));
   const SolveOptions defaults;
-  EXPECT_EQ(solve_options_to_json_value(decoded.options),
-            solve_options_to_json_value(defaults));
+  EXPECT_EQ(decoded.options.engine, defaults.engine);
+  EXPECT_EQ(decoded.options.fast_epsilon, defaults.fast_epsilon);
+  EXPECT_EQ(decoded.options.lp_grid, defaults.lp_grid);
+  EXPECT_EQ(decoded.options.lp_max_speed_hint, defaults.lp_max_speed_hint);
 }
 
 TEST(Protocol, DecodersRejectBadDocuments) {
@@ -284,6 +294,85 @@ TEST(Protocol, TraceContextRoundTripsAsDecimalStrings) {
       ProtocolError);
 }
 
+// Golden wire bytes: one exact, one fast and one error reply and one traced
+// solve_many request, built by hand so that no engine change can move them.
+SolveResult golden_exact_result() {
+  Schedule schedule(2);
+  schedule.add(1, Slice{Q(1, 3), Q(5, 2), Q(2), 1});
+  schedule.add(0, Slice{Q(1, 2), Q(7, 3), Q(3, 7), 2});
+  schedule.add(0, Slice{Q(0), Q(1, 2), Q(4, 3), 0});
+  schedule.add(1, Slice{Q(5, 2), Q(BigInt::from_string("123456789012345678901"), BigInt(7)),
+                        Q(-1, -9), 3});
+  SolveResult result;
+  result.energy = 2.7182818284590451;
+  result.schedule = std::move(schedule);
+  return result;
+}
+
+SolveResult golden_fast_result() {
+  FastSchedule schedule;
+  schedule.machines.resize(2);
+  schedule.machines[0].push_back(FastSlice{0.0, 0.1, 1.0 / 3.0, 0});
+  schedule.machines[1].push_back(FastSlice{1e-7, 2.5, 1e21, 1});
+  schedule.machines[0].push_back(FastSlice{0.1, 509.763, 1e15, 2});
+  SolveResult result;
+  result.energy = 1234.5;
+  result.schedule = std::move(schedule);
+  return result;
+}
+
+TEST(Protocol, GoldenReplyBytes) {
+  SolveResult none;
+  none.status = SolveStatus::kInvalidOptions;
+  none.error_detail = "lp_grid must be >= 2 \"x\"\n";
+  none.energy = 0.0;
+  const SolveResult results[] = {golden_exact_result(), golden_fast_result(), none};
+  EXPECT_EQ(encode_results_response(7, results),
+            R"({"v":1,"id":7,"ok":true,"results":[)"
+            R"({"status":"ok","error_detail":"","energy":2.718281828459045,)"
+            R"("schedule":{"type":"exact","machines":2,"slices":[)"
+            R"([0,"0","1/2","4/3",0],[0,"1/2","7/3","3/7",2],)"
+            R"([1,"1/3","5/2","2",1],[1,"5/2","123456789012345678901/7","1/9",3]]}},)"
+            R"({"status":"ok","error_detail":"","energy":1234.5,)"
+            R"("schedule":{"type":"fast","machines":2,"slices":[)"
+            R"([0,0,0.1,0.3333333333333333,0],)"
+            R"([0,0.1,509.763,1000000000000000,2],)"
+            R"([1,1e-07,2.5,1e+21,1]]}},)"
+            R"({"status":"invalid_options","error_detail":"lp_grid must be >= 2 \"x\"\n",)"
+            R"("energy":0,"schedule":{"type":"none"}}]})");
+  EXPECT_EQ(encode_error_response(9, ErrorCode::kQueueFull, "full \x01 \"up\"\\"),
+            R"({"v":1,"id":9,"ok":false,"error":{"code":"queue_full",)"
+            R"("detail":"full \u0001 \"up\"\\"}})");
+}
+
+TEST(Protocol, GoldenTracedSolveManyRequestBytes) {
+  Request request;
+  request.id = 12;
+  request.verb = Verb::kSolveMany;
+  request.instances = {
+      Instance({Job{Q(0), Q(1, 2), Q(2, 3)}}, 2, PowerSpec::alpha(2.5)),
+      Instance({Job{Q(1, 3), Q(5), Q(7)}, Job{Q(0), Q(2), Q(1)}}, 1,
+               PowerSpec::piecewise({{0.0, 0.0}, {1.0, 0.3}, {2.0, 8.0}})),
+  };
+  request.options.engine = Engine::kFast;
+  request.options.fast_epsilon = 1e-7;
+  request.options.lp_max_speed_hint = 2.75;
+  request.priority = -2;
+  request.deadline_ms = 250;
+  request.trace_id = 18347587744294764545ull;
+  request.parent_span = 3;
+  EXPECT_EQ(encode_request(request),
+            R"({"v":1,"id":12,"verb":"solve_many","instances":[)"
+            R"({"mpss_instance":1,"machines":2,"power":{"kind":"alpha","alpha":2.5},)"
+            R"("jobs":[["0","1/2","2/3"]]},)"
+            R"({"mpss_instance":1,"machines":1,"power":{"kind":"piecewise",)"
+            R"("points":[[0,0],[1,0.3],[2,8]]},)"
+            R"("jobs":[["1/3","5","7"],["0","2","1"]]}],)"
+            R"("options":{"engine":"fast","fast_epsilon":1e-07,)"
+            R"("lp_grid":8,"lp_max_speed_hint":2.75},"priority":-2,"deadline_ms":250,)"
+            R"("trace":{"id":"18347587744294764545","parent":"3"}})");
+}
+
 TEST(Protocol, NamesRoundTrip) {
   for (Verb verb : {Verb::kSolve, Verb::kSolveMany, Verb::kStats, Verb::kHealth,
                     Verb::kMetrics, Verb::kShutdown}) {
@@ -316,6 +405,172 @@ TEST(Json, IntegersPast2To53AreExactAndOtherNumbersParseAsBefore) {
   EXPECT_EQ(json::parse("-9007199254740993"), json::Value(-9007199254740993.0));
   EXPECT_EQ(json::parse("9007199254740993.0"), json::Value(9007199254740992.0));
   EXPECT_EQ(json::parse("1e3"), json::Value(1000.0));
+}
+
+// ---- util/json grammar parity -----------------------------------------------
+// The grammar, the depth cap and every error text with its offset, pinned so
+// that a change of parser cannot move them.
+
+/// what() of the std::invalid_argument json::parse throws on `text`.
+std::string parse_error(std::string_view text) {
+  try {
+    (void)json::parse(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "(accepted)";
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + "0" + std::string(depth, ']');
+}
+
+TEST(Json, StringEscapesAndSurrogates) {
+  EXPECT_EQ(json::parse(R"("q\"b\\s\/ \b\f\n\r\t")").as_string(),
+            "q\"b\\s/ \b\f\n\r\t");
+  EXPECT_EQ(json::parse(R"("\u0041\u00e9\u20ac")").as_string(),
+            "A\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(json::parse(R"("a\u0000b")").as_string(), std::string("a\0b", 3));
+  EXPECT_EQ(json::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(json::parse(R"("x\uD83D\uDE00y")").as_string(), "x\xf0\x9f\x98\x80y");
+  // Raw bytes at or above 0x20 pass through, valid UTF-8 or not.
+  EXPECT_EQ(json::parse("\"\xc3\xa9\xff\"").as_string(), "\xc3\xa9\xff");
+  // A key with an escape is found by its decoded text.
+  EXPECT_EQ(json::parse(R"({"a\u0062":1})").at("ab").as_double(), 1.0);
+  EXPECT_EQ(parse_error(R"("\ud83d")"), "json: lone surrogate at offset 7");
+  EXPECT_EQ(parse_error(R"("\ud83dx")"), "json: lone surrogate at offset 7");
+  EXPECT_EQ(parse_error(R"("\ude00")"), "json: lone surrogate at offset 7");
+  EXPECT_EQ(parse_error(R"("\ud83d\u0041")"), "json: bad surrogate pair at offset 13");
+  EXPECT_EQ(parse_error(R"("\ud83d\u00")"), "json: bad \\u escape at offset 9");
+  EXPECT_EQ(parse_error(R"("\u12G4")"), "json: bad \\u escape at offset 5");
+  EXPECT_EQ(parse_error(R"("\u12")"), "json: bad \\u escape at offset 3");
+  EXPECT_EQ(parse_error(R"("\x")"), "json: bad escape at offset 2");
+  EXPECT_EQ(parse_error(R"("a\)"), "json: unterminated escape at offset 3");
+  EXPECT_EQ(parse_error(R"("abc)"), "json: unterminated string at offset 4");
+}
+
+TEST(Json, RawControlCharactersAreRejected) {
+  EXPECT_EQ(parse_error("\"a\x01" "b\""), "json: raw control character at offset 2");
+  EXPECT_EQ(parse_error("\"\t\""), "json: raw control character at offset 1");
+  EXPECT_EQ(parse_error("{\"k\n\":1}"), "json: raw control character at offset 3");
+  EXPECT_EQ(parse_error(std::string("\"\0\"", 3)),
+            "json: raw control character at offset 1");
+  // Outside strings, the four JSON whitespace characters are skipped.
+  EXPECT_EQ(json::parse(" \t\r\n[ 1 ,\n2 ] \n").as_array().size(), 2u);
+}
+
+TEST(Json, DepthCapIs96) {
+  EXPECT_NO_THROW((void)json::parse(nested_arrays(96)));
+  EXPECT_EQ(parse_error(nested_arrays(97)), "json: nesting too deep at offset 97");
+  std::string objects;
+  for (int i = 0; i < 96; ++i) objects += R"({"a":)";
+  objects += "0" + std::string(96, '}');
+  EXPECT_NO_THROW((void)json::parse(objects));
+  EXPECT_EQ(parse_error(R"({"a":)" + objects + "}"),
+            "json: nesting too deep at offset 485");
+}
+
+TEST(Json, TrailingContentIsRejected) {
+  EXPECT_EQ(parse_error("{} x"), "json: trailing content at offset 3");
+  EXPECT_EQ(parse_error("1 2"), "json: trailing content at offset 2");
+  EXPECT_EQ(parse_error("[1]]"), "json: trailing content at offset 3");
+  EXPECT_EQ(parse_error("1.5.2"), "json: trailing content at offset 3");
+  EXPECT_EQ(parse_error("0x10"), "json: trailing content at offset 1");
+  EXPECT_EQ(json::parse("[1] \r\n\t").as_array().size(), 1u);
+}
+
+TEST(Json, DuplicateKeysKeepTheFirstForLookup) {
+  json::Value document = json::parse(R"({"a":1,"b":2,"a":3})");
+  EXPECT_EQ(document.at("a").as_double(), 1.0);
+  EXPECT_EQ(document.find("a")->as_double(), 1.0);
+  EXPECT_EQ(document.as_object().size(), 3u);
+  EXPECT_EQ(json::serialize(document), R"({"a":1,"b":2,"a":3})");
+  Request request = decode_request(R"({"v":1,"id":4,"verb":"health","verb":"conquer","id":5})");
+  EXPECT_EQ(request.verb, Verb::kHealth);
+  EXPECT_EQ(request.id, 4u);
+}
+
+TEST(Json, NumberGrammar) {
+  const json::Value negative_zero = json::parse("-0");
+  EXPECT_EQ(negative_zero.as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero.as_double()));
+  EXPECT_EQ(json::parse("1.").as_double(), 1.0);
+  EXPECT_EQ(json::parse("01").as_double(), 1.0);
+  EXPECT_EQ(json::parse("1.e2").as_double(), 100.0);
+  EXPECT_EQ(json::parse("2E-1").as_double(), 0.2);
+  EXPECT_EQ(json::parse("1e400").as_double(), HUGE_VAL);
+  EXPECT_EQ(json::parse("-1e400").as_double(), -HUGE_VAL);
+  EXPECT_EQ(json::parse("1e-400").as_double(), 0.0);
+  EXPECT_EQ(json::parse("4.9406564584124654e-324").as_double(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(json::parse("0.1").as_double(), 0.1);
+  EXPECT_EQ(json::parse("9007199254740993").as_u64(), 9007199254740993ull);
+  EXPECT_EQ(json::parse("00000000000000009007199254740993").as_u64(),
+            9007199254740993ull);
+  EXPECT_EQ(json::parse("18446744073709551616").as_double(), 18446744073709551616.0);
+  EXPECT_THROW((void)json::parse("18446744073709551616").as_u64(), std::invalid_argument);
+  EXPECT_EQ(json::parse("18446744073709551615").as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(parse_error("1e"), "json: invalid number at offset 0");
+  EXPECT_EQ(parse_error("1e+"), "json: invalid number at offset 0");
+  EXPECT_EQ(parse_error("-"), "json: invalid number at offset 0");
+  EXPECT_EQ(parse_error("+1"), "json: invalid number at offset 0");
+  EXPECT_EQ(parse_error(".5"), "json: invalid number at offset 0");
+  EXPECT_EQ(parse_error("[1,-e]"), "json: invalid number at offset 3");
+}
+
+TEST(Json, ErrorTextsCarryOffsets) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "json: unexpected end of input at offset 0"},
+      {"  ", "json: unexpected end of input at offset 2"},
+      {"[1,", "json: unexpected end of input at offset 3"},
+      {"{\"a\":1", "json: unexpected end of input at offset 6"},
+      {"tru", "json: invalid literal at offset 0"},
+      {"nul", "json: invalid literal at offset 0"},
+      {"[fals]", "json: invalid literal at offset 1"},
+      {"[1,]", "json: invalid number at offset 3"},
+      {"{\"a\" 1}", "json: unexpected character at offset 5"},
+      {"{1:2}", "json: unexpected character at offset 1"},
+      {"{\"a\":1 \"b\":2}", "json: expected ',' or '}' at offset 7"},
+      {"[1 2]", "json: expected ',' or ']' at offset 3"},
+      {"{\"a\":1,}", "json: unexpected character at offset 7"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(parse_error(text), message) << text;
+  }
+}
+
+TEST(Json, DoublesRoundTripBitForBitInShortestForm) {
+  auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  auto round_trip = [](double value) {
+    return json::parse(json::serialize(json::Value(value))).as_double();
+  };
+  std::vector<double> values = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(), 9007199254740991.0, 9007199254740992.0,
+      9007199254740994.0, -9007199254740994.0, 999999999999999.0, 1e15, 1e15 + 1,
+      -1e15, 99999999999999984.0, 1e17, 1e17 + 16, 0.1, 1.0 / 3.0, 509.763, 1e-7,
+      1e21, 123456789.125};
+  Xoshiro256 rng(53);
+  while (values.size() < 100000) {
+    const double value = std::bit_cast<double>(rng());
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (double value : values) {
+    ASSERT_EQ(bits(round_trip(value)), bits(value)) << json::serialize(json::Value(value));
+  }
+  // Shortest digits, -0 signed; integral values below 1e17 stay plain digits.
+  const std::pair<double, const char*> texts[] = {
+      {0.0, "0"}, {-0.0, "-0"}, {0.1, "0.1"}, {509.763, "509.763"},
+      {1e-7, "1e-07"}, {999999999999999.0, "999999999999999"},
+      {1e15, "1000000000000000"}, {9007199254740993.0, "9007199254740992"},
+      {99999999999999984.0, "99999999999999984"}, {1e17, "1e+17"},
+      {-2.5, "-2.5"}, {4.9406564584124654e-324, "5e-324"}};
+  for (const auto& [value, text] : texts) {
+    EXPECT_EQ(json::serialize(json::Value(value)), text);
+  }
 }
 
 TEST(Json, AsU64ReadsNonNegativeIntegersExactly) {

@@ -4,6 +4,8 @@
 #include "mpss/core/schedule.hpp"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,20 @@ TEST(Schedule, MachineViewIsSortedByStart) {
   ASSERT_EQ(slices.size(), 2u);
   EXPECT_EQ(slices[0].start, Q(0));
   EXPECT_EQ(slices[1].start, Q(2));
+}
+
+TEST(Schedule, AddKeepsStartOrderInAndOutOfOrder) {
+  // Slices added in start order, out of it, and with equal starts land in the
+  // same places: sorted by start, equal starts in insertion order.
+  const std::vector<std::pair<int, std::size_t>> adds = {
+      {0, 0}, {2, 1}, {2, 2}, {5, 3}, {1, 4}, {2, 5}, {0, 6}, {7, 7}, {5, 8}};
+  Schedule schedule(1);
+  for (const auto& [start, job] : adds) {
+    schedule.add(0, Slice{Q(start), Q(start) + Q(1, 2), Q(1), job});
+  }
+  std::vector<std::size_t> jobs;
+  for (const Slice& slice : schedule.machine(0)) jobs.push_back(slice.job);
+  EXPECT_EQ(jobs, (std::vector<std::size_t>{0, 6, 4, 1, 2, 5, 3, 8, 7}));
 }
 
 TEST(Schedule, WorkAccounting) {

@@ -5,6 +5,9 @@
 //                  protocol decoders: every input must parse, be cleanly
 //                  rejected (FrameError / ProtocolError), or hit clean EOF --
 //                  never crash, hang, or leak another exception type.
+//                  Mutated valid replies (exact, fast, schedule-less and
+//                  error) must decode to a ProtocolError or to a response
+//                  that re-encodes and decodes to itself, bit for bit.
 //   --instances    mutated instance JSON into instance_from_json: success or
 //                  std::invalid_argument, nothing else. Includes a fixed
 //                  hostile corpus (1e300 / 1e309 / deep nesting / huge digit
@@ -26,11 +29,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,6 +126,86 @@ std::string seed_request_json(Xoshiro256& rng) {
   return encode_request(request);
 }
 
+/// A valid reply to mutate from, varied by seed: an exact, a fast, a
+/// schedule-less (invalid options) or an error reply.
+std::string seed_reply_json(Xoshiro256& rng) {
+  const std::uint64_t id = rng.below(1000);
+  const std::uint64_t shape = rng.below(4);
+  if (shape == 3) {
+    const auto code = static_cast<mpss::net::ErrorCode>(rng.below(7));
+    return mpss::net::encode_error_response(id, code, "no \"room\"\n\x01 left");
+  }
+  mpss::UniformWorkload workload;
+  workload.jobs = 1 + rng.below(4);
+  workload.machines = 1 + rng.below(3);
+  workload.horizon = 12;
+  const Instance instance = mpss::generate_uniform(workload, rng());
+  mpss::SolveOptions options;
+  options.engine = shape == 1 ? mpss::Engine::kFast : mpss::Engine::kExact;
+  if (shape == 2) {
+    options.engine = mpss::Engine::kLp;
+    options.lp_grid = 1;  // invalid: the result carries a detail, no schedule
+  }
+  const mpss::SolveResult result = mpss::solve(instance, options);
+  return mpss::net::encode_results_response(id, std::span(&result, 1));
+}
+
+/// Whether two exact schedules hold the same slices on every machine.
+bool same_schedule(const mpss::Schedule& a, const mpss::Schedule& b) {
+  if (a.machines() != b.machines()) return false;
+  for (std::size_t machine = 0; machine < a.machines(); ++machine) {
+    if (!std::ranges::equal(a.machine(machine), b.machine(machine))) return false;
+  }
+  return true;
+}
+
+/// Whether two results hold the same status, detail, energy bits and slices.
+bool same_result(const mpss::SolveResult& a, const mpss::SolveResult& b) {
+  auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  if (a.status != b.status || a.error_detail != b.error_detail ||
+      bits(a.energy) != bits(b.energy) || a.schedule.index() != b.schedule.index()) {
+    return false;
+  }
+  if (const mpss::Schedule* x = a.exact_schedule()) {
+    if (!same_schedule(*x, *b.exact_schedule())) return false;
+  }
+  if (const mpss::FastSchedule* x = a.fast_schedule()) {
+    const mpss::FastSchedule& y = *b.fast_schedule();
+    auto same_slice = [&](const mpss::FastSlice& p, const mpss::FastSlice& q) {
+      return bits(p.start) == bits(q.start) && bits(p.end) == bits(q.end) &&
+             bits(p.speed) == bits(q.speed) && p.job == q.job;
+    };
+    if (x->machines.size() != y.machines.size()) return false;
+    for (std::size_t machine = 0; machine < x->machines.size(); ++machine) {
+      if (!std::ranges::equal(x->machines[machine], y.machines[machine], same_slice)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Why a decoded response does not survive re-encoding and decoding, or
+/// empty when it does.
+std::string reencode_mismatch(const mpss::net::Response& response) {
+  const std::string again =
+      response.ok ? mpss::net::encode_results_response(response.id, response.results)
+                  : mpss::net::encode_error_response(response.id, response.code,
+                                                     response.detail);
+  const mpss::net::Response twice = mpss::net::decode_response(again);
+  if (twice.ok != response.ok || twice.code != response.code ||
+      twice.detail != response.detail ||
+      twice.results.size() != response.results.size()) {
+    return "re-encoded response changed shape: " + again;
+  }
+  for (std::size_t i = 0; i < response.results.size(); ++i) {
+    if (!same_result(response.results[i], twice.results[i])) {
+      return "re-encoded result " + std::to_string(i) + " changed: " + again;
+    }
+  }
+  return "";
+}
+
 /// Feed `bytes` through a socketpair into read_frame (writer closed first, so
 /// truncation is always observable). Any exception other than FrameError is a
 /// finding; so is a hang, which the frame deadline converts into kTimeout.
@@ -198,6 +284,31 @@ int run_frames(std::int64_t runs, std::uint64_t seed, Findings& findings,
                       std::string("decode_response leaked ") +
                           unexpected.what() + " on: " + mutated);
     }
+
+    // 4. Mutated valid replies into decode_response: ProtocolError, or a
+    //    response whose results re-encode and decode to themselves.
+    const std::string reply = mutate(seed_reply_json(rng), rng);
+    std::optional<mpss::net::Response> response;
+    try {
+      response = mpss::net::decode_response(reply);
+    } catch (const mpss::net::ProtocolError&) {
+    } catch (const std::exception& unexpected) {
+      findings.report("frames", case_seed,
+                      std::string("decode_response leaked ") +
+                          unexpected.what() + " on reply: " + reply);
+    }
+    if (response) {
+      try {
+        const std::string mismatch = reencode_mismatch(*response);
+        if (!mismatch.empty()) {
+          findings.report("frames", case_seed, mismatch + " from reply: " + reply);
+        }
+      } catch (const std::exception& error) {
+        findings.report("frames", case_seed,
+                        std::string("decoded reply does not re-encode: ") +
+                            error.what() + " on reply: " + reply);
+      }
+    }
   }
   std::printf("frames: %lld cases\n", static_cast<long long>(done));
   return findings.count;
@@ -267,15 +378,6 @@ int run_instances(std::int64_t runs, std::uint64_t seed, Findings& findings,
   std::printf("instances: %lld cases (+%zu hostile corpus entries)\n",
               static_cast<long long>(done), hostile.size());
   return findings.count;
-}
-
-/// Whether two exact schedules hold the same slices on every machine.
-bool same_schedule(const mpss::Schedule& a, const mpss::Schedule& b) {
-  if (a.machines() != b.machines()) return false;
-  for (std::size_t machine = 0; machine < a.machines(); ++machine) {
-    if (!std::ranges::equal(a.machine(machine), b.machine(machine))) return false;
-  }
-  return true;
 }
 
 int run_differential(std::int64_t runs, std::uint64_t seed, Findings& findings,
