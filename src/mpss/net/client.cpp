@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -143,7 +144,18 @@ Response SolveClient::attempt(const Request& request, const Deadline& budget) {
     throw FrameError("SolveClient: server closed the connection",
                      FrameError::Kind::kTruncated);
   }
-  Response response = decode_response(buffer_);
+  // Bound the reply by the request: one result per instance, each on its
+  // instance's machine count.
+  std::vector<std::size_t> machines;
+  machines.reserve(request.instances.size());
+  for (const Instance& instance : request.instances) {
+    machines.push_back(instance.machines());
+  }
+  std::optional<std::span<const std::size_t>> bound;
+  if (request.verb == Verb::kSolve || request.verb == Verb::kSolveMany) {
+    bound = machines;
+  }
+  Response response = decode_response(buffer_, bound);
   if (response.id != request.id) {
     throw ProtocolError(ErrorCode::kBadRequest,
                         "SolveClient: response id " +

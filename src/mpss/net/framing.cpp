@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -289,7 +290,14 @@ ScopedFd bind_listen_ipv4(const std::string& host, std::uint16_t port,
 ScopedFd accept_connection(int listen_fd, const std::atomic<bool>& closed) {
   for (;;) {
     int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return ScopedFd(fd);
+    if (fd >= 0) {
+      // Every reply is one whole frame written at once: Nagle would only hold
+      // it back until the peer ACKs the previous one. A failure here leaves a
+      // working, merely slower, socket.
+      const int one = 1;
+      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      return ScopedFd(fd);
+    }
     if (closed.load()) return ScopedFd();
     if (errno == EINTR) continue;
     obs::Registry::global().add("net.accept_errors");

@@ -132,8 +132,10 @@ void set_send_timeout(int fd, std::int64_t ms, std::string_view who);
                                         std::string_view who);
 
 /// The accept step of the daemon's and the /metrics listener's acceptor
-/// threads: the next connected socket, or an invalid ScopedFd once `closed`
-/// (set by the owner before it shuts the listener down) reads true. Any other
+/// threads: the next connected socket, with TCP_NODELAY set (a reply is one
+/// frame written whole, so Nagle could only delay it), or an invalid ScopedFd
+/// once `closed` (set by the owner before it shuts the listener down) reads
+/// true. Any other
 /// failure (EMFILE, ENFILE, ECONNABORTED, ENOBUFS, ...) bumps the
 /// net.accept_errors counter and is retried after about 10 ms; EINTR at once.
 [[nodiscard]] ScopedFd accept_connection(int listen_fd,

@@ -128,7 +128,11 @@ json::ArrayRef slice_fields(json::Ref row) {
   return fields;
 }
 
-void schedule_from_json(json::Ref value, SolveResult& result) {
+/// `instance_machines`, when known, is the machine count of the instance the
+/// result answers: every engine schedules on exactly that many machines, so
+/// any other count is refused before it sizes anything.
+void schedule_from_json(json::Ref value, SolveResult& result,
+                        std::optional<std::size_t> instance_machines) {
   const std::string_view type = value.at("type").as_string();
   if (type == "none") return;
   double machines_raw = value.at("machines").as_double();
@@ -137,6 +141,11 @@ void schedule_from_json(json::Ref value, SolveResult& result) {
     throw std::invalid_argument("protocol: schedule machines must be >= 1");
   }
   auto machines = static_cast<std::size_t>(machines_raw);
+  if (instance_machines && machines != *instance_machines) {
+    throw std::invalid_argument(
+        "protocol: schedule has " + std::to_string(machines) +
+        " machines, its instance " + std::to_string(*instance_machines));
+  }
   json::ArrayRef slices = value.at("slices").as_array();
   if (type == "exact") {
     Schedule schedule(machines);
@@ -237,7 +246,8 @@ SolveOptions solve_options_from_json(json::Ref value) {
   return options;
 }
 
-SolveResult result_from_json(json::Ref value) {
+SolveResult result_from_json(json::Ref value,
+                             std::optional<std::size_t> instance_machines) {
   SolveResult result;
   const std::string_view status_name = value.at("status").as_string();
   std::optional<SolveStatus> status = solve_status_from_name(status_name);
@@ -248,7 +258,7 @@ SolveResult result_from_json(json::Ref value) {
   result.status = *status;
   result.error_detail = value.at("error_detail").as_string();
   result.energy = finite_number(value.at("energy"), "energy");
-  schedule_from_json(value.at("schedule"), result);
+  schedule_from_json(value.at("schedule"), result, instance_machines);
   return result;
 }
 
@@ -409,6 +419,17 @@ std::string encode_results_response(std::uint64_t id,
   return text;
 }
 
+std::string encode_results_response(std::uint64_t id,
+                                    std::span<const std::string_view> result_objects) {
+  std::string text;
+  json::Writer out(text);
+  write_response_header(out, id, true);
+  out.key("results").begin_array();
+  for (std::string_view object : result_objects) out.raw().append(object);
+  out.end_array().end_object();
+  return text;
+}
+
 std::string encode_payload_response(std::uint64_t id, std::string_view key,
                                     json::Value payload) {
   std::string text;
@@ -431,7 +452,8 @@ std::string encode_error_response(std::uint64_t id, ErrorCode code,
   return text;
 }
 
-Response decode_response(std::string_view payload) {
+Response decode_response(std::string_view payload,
+                         std::optional<std::span<const std::size_t>> machines) {
   return bad_request_scope([&] {
     json::Document parsed(payload);
     json::Ref document = parsed.root();
@@ -453,9 +475,16 @@ Response decode_response(std::string_view payload) {
     }
     if (std::optional<json::Ref> results = document.find("results")) {
       json::ArrayRef elements = results->as_array();
+      if (machines && elements.size() != machines->size()) {
+        throw std::invalid_argument(
+            "protocol: " + std::to_string(elements.size()) + " results for " +
+            std::to_string(machines->size()) + " instances");
+      }
       response.results.reserve(elements.size());
       for (json::Ref element : elements) {
-        response.results.push_back(result_from_json(element));
+        std::optional<std::size_t> instance_machines;
+        if (machines) instance_machines = (*machines)[response.results.size()];
+        response.results.push_back(result_from_json(element, instance_machines));
       }
     } else {
       // Verb-shaped payload: keep the whole document for the caller.

@@ -119,6 +119,10 @@ void write_result(json::Writer& out, const SolveResult& result);
 
 [[nodiscard]] std::string encode_results_response(
     std::uint64_t id, std::span<const SolveResult> results);
+/// The same reply from result objects already written by write_result (the
+/// daemon memoizes one per cache entry): byte-identical, pasted in order.
+[[nodiscard]] std::string encode_results_response(
+    std::uint64_t id, std::span<const std::string_view> result_objects);
 /// Verb-shaped success payload under `key` ("stats", "health", "shutdown").
 [[nodiscard]] std::string encode_payload_response(std::uint64_t id,
                                                   std::string_view key,
@@ -136,7 +140,14 @@ struct Response {
   json::Value payload;                    // verb-shaped payload, else null
 };
 
-/// Throws ProtocolError(kBadRequest) on malformed documents.
-[[nodiscard]] Response decode_response(std::string_view payload);
+/// Throws ProtocolError(kBadRequest) on malformed documents. `machines`, when
+/// given, holds the machine count of each instance the request carried: a
+/// "results" reply must then carry one result per instance, and a schedule on
+/// any other number of machines than its instance's is refused before any
+/// per-machine storage is sized. Without it (verb replies, raw readers) a
+/// schedule may claim up to 2^53 machines.
+[[nodiscard]] Response decode_response(
+    std::string_view payload,
+    std::optional<std::span<const std::size_t>> machines = std::nullopt);
 
 }  // namespace mpss::net

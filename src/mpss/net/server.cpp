@@ -36,9 +36,10 @@ class SolveServer::Impl {
  public:
   /// One response slot in a connection's FIFO. Either `futures` holds the
   /// solves to resolve (solve / solve_many), or `ready` holds a pre-encoded
-  /// response (verb payloads and admission errors). When both are present the
-  /// futures are consumed first and `ready` wins -- the partial-admission
-  /// failure path, where already-accepted solves must still resolve.
+  /// response (verb payloads, admission errors, and solves answered whole
+  /// from the cache at admission). When both are present the futures are
+  /// consumed first and `ready` wins -- the partial-admission failure path,
+  /// where already-accepted solves must still resolve.
   struct Entry {
     std::uint64_t id = 0;
     Verb verb = Verb::kHealth;
@@ -46,6 +47,7 @@ class SolveServer::Impl {
     std::vector<std::shared_ptr<CancelToken>> tokens;
     std::string ready;
     std::string ready_status;  // completion-log status of a `ready` response
+    std::size_t cached = 0;    // results of a `ready` reply taken from the cache
     std::string engine;        // engine name, solve entries only (for the log)
     std::uint64_t trace_id = 0;  // distributed trace id, 0 when untraced
     CancelToken::Clock::time_point received{};
@@ -71,6 +73,7 @@ class SolveServer::Impl {
     std::deque<Entry> pending;  // writer consumes the front; reader appends
     bool reader_done = false;
     bool client_closed = false;  // the reader saw the peer leave, not a drain
+    bool peer_writable = true;   // false once a write failed: stop writing
     /// Set (before SHUT_RD) by the graceful-drain path so the reader's EOF is
     /// not mistaken for a client disconnect -- drained requests keep running.
     std::atomic<bool> draining{false};
@@ -78,6 +81,7 @@ class SolveServer::Impl {
 
   explicit Impl(SolveServerOptions options)
       : options_(std::move(options)),
+        request_us_(obs::Registry::global().histogram("net.request_us")),
         solver_(options_.service),
         listen_fd_(bind_listen_ipv4(options_.host, options_.port, "SolveServer")),
         port_(bound_port(listen_fd_.get(), "SolveServer")) {
@@ -96,6 +100,8 @@ class SolveServer::Impl {
   }
 
   SolveServerOptions options_;
+  // Solve wall time, receipt to response (Registry references stay valid).
+  obs::Histogram& request_us_;
   BatchSolver solver_;
   ScopedFd listen_fd_;
   std::uint16_t port_;
@@ -185,9 +191,20 @@ class SolveServer::Impl {
     done_cv_.notify_all();
   }
 
+  /// Hands an entry to the connection's FIFO -- or, when it needs nothing
+  /// resolved and nothing is queued ahead of it, delivers it on this (the
+  /// reader's) thread. The writer touches the socket only for a queued entry,
+  /// which stays queued until written, and only this reader queues: so an
+  /// empty FIFO means no write is in progress and none can start before the
+  /// inline one ends, and replies stay in request order.
   void enqueue(Connection& connection, Entry entry) {
     {
       std::unique_lock lock(connection.mutex);
+      if (entry.futures.empty() && connection.pending.empty()) {
+        lock.unlock();
+        deliver(connection, entry);
+        return;
+      }
       // Inflight cap: hold this reader (and, through TCP flow control, the
       // client) until the writer drains below the cap. The writer never stops
       // popping -- even with an unwritable peer it keeps resolving -- so this
@@ -364,6 +381,7 @@ class SolveServer::Impl {
     entry.received = CancelToken::Clock::now();
     entry.futures.reserve(request.instances.size());
     entry.tokens.reserve(request.instances.size());
+    std::vector<std::shared_ptr<const CachedResult>> hits;
     for (Instance& instance : request.instances) {
       auto token = std::make_shared<CancelToken>();
       if (request.deadline_ms > 0) {
@@ -380,7 +398,7 @@ class SolveServer::Impl {
       solve_request.parent_span = net_span;
       // Blocking submit: the bounded admission queue backpressures this
       // reader (and through TCP flow control, the client) instead of letting
-      // requests pile up in memory.
+      // requests pile up in memory. A cache hit is answered inside submit().
       Submission submission = solver_.submit(std::move(solve_request));
       if (!submission.accepted()) {
         obs::Registry::global().add("net.errors");
@@ -394,21 +412,41 @@ class SolveServer::Impl {
         entry.ready_status = error_code_name(code);
         break;  // accepted futures stay in the entry and still resolve
       }
+      if (submission.cached) hits.push_back(std::move(submission.cached));
       entry.futures.push_back(std::move(submission.future));
       entry.tokens.push_back(std::move(token));
+    }
+    if (entry.ready.empty() && hits.size() == entry.futures.size()) {
+      // Every result came from the cache: paste each entry's memoized result
+      // object (written once per entry) instead of copying and re-encoding.
+      std::vector<std::string_view> objects;
+      objects.reserve(hits.size());
+      for (const auto& hit : hits) objects.push_back(result_object(*hit));
+      entry.ready = encode_results_response(entry.id, objects);
+      entry.ready_status = "ok";  // only kOk results are cached
+      entry.cached = hits.size();
+      entry.futures.clear();  // deferred: nothing ran, nothing to wait for
+      entry.tokens.clear();
     }
     enqueue(connection, std::move(entry));
   }
 
+  /// The result object of a cache entry, as write_result writes it: encoded by
+  /// the first reply that needs it and kept with the entry.
+  static std::string_view result_object(const CachedResult& hit) {
+    return hit.encoded([](const SolveResult& result, std::string& out) {
+      json::Writer writer(out);
+      write_result(writer, result);
+    });
+  }
+
   void write_loop(Connection& connection) {
-    obs::Histogram& request_us =
-        obs::Registry::global().histogram("net.request_us");
-    bool peer_writable = true;
     for (;;) {
       // The front entry stays in the deque while its futures resolve: the
-      // reader's disconnect-cancel walk must still reach its tokens. Only the
-      // writer pops, and deque push_back never invalidates front references,
-      // so the pointer taken under the lock stays valid across the unlock.
+      // reader's disconnect-cancel walk must still reach its tokens, and the
+      // reader must not write past it. Only the writer pops, and deque
+      // push_back never invalidates front references, so the pointer taken
+      // under the lock stays valid across the unlock.
       Entry* front = nullptr;
       {
         std::unique_lock lock(connection.mutex);
@@ -418,49 +456,7 @@ class SolveServer::Impl {
         if (connection.pending.empty()) break;  // reader done, FIFO drained
         front = &connection.pending.front();
       }
-      Entry& entry = *front;
-      Completion completion;
-      std::string response = resolve(entry, completion);
-      const bool timed = entry.received != CancelToken::Clock::time_point{};
-      std::uint64_t wall_us = 0;
-      if (timed) {
-        wall_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                CancelToken::Clock::now() - entry.received)
-                .count());
-        // The latency histogram keeps its pre-metrics meaning: solve wall
-        // time only, not the (instant) verb payloads.
-        if (entry.verb == Verb::kSolve || entry.verb == Verb::kSolveMany) {
-          request_us.record(wall_us);
-        }
-      }
-      if (timed && options_.slow_ms >= 0 &&
-          wall_us / 1000 >= static_cast<std::uint64_t>(options_.slow_ms)) {
-        obs::Registry::global().add("net.slow_requests");
-        log_request(entry, completion, wall_us);
-      }
-      if (peer_writable) {
-        try {
-          write_frame(connection.fd.get(), response, options_.max_frame_bytes);
-          obs::Registry::global().add("net.responses");
-          obs::emit(nullptr, obs::EventKind::kCounter, "net.response",
-                    /*a=*/response.size(), /*b=*/entry.futures.size(),
-                    entry.received == CancelToken::Clock::time_point{}
-                        ? 0.0
-                        : std::chrono::duration<double>(
-                              CancelToken::Clock::now() - entry.received)
-                              .count());
-        } catch (const FrameError& error) {
-          // Peer gone mid-write -- or, under SO_SNDTIMEO, a peer that stopped
-          // reading long enough to fill its receive window. Keep resolving
-          // futures (the no-dropped-futures contract) but stop writing.
-          peer_writable = false;
-          obs::Registry::global().add("net.write_failures");
-          if (error.kind() == FrameError::Kind::kTimeout) {
-            obs::Registry::global().add("net.timeouts");
-          }
-        }
-      }
+      deliver(connection, *front);
       {
         std::scoped_lock lock(connection.mutex);
         connection.pending.pop_front();
@@ -468,6 +464,59 @@ class SolveServer::Impl {
       connection.entry_popped.notify_one();
     }
     close_connection(connection);
+  }
+
+  /// The one way a response leaves: resolve the entry, account its latency,
+  /// log it if slow, and write it -- unless an earlier write on this
+  /// connection failed. The writer runs it for each queued entry in turn, the
+  /// reader for an entry it may write inline (enqueue); never both at once.
+  void deliver(Connection& connection, Entry& entry) {
+    Completion completion;
+    std::string response = resolve(entry, completion);
+    const bool timed = entry.received != CancelToken::Clock::time_point{};
+    std::uint64_t wall_us = 0;
+    if (timed) {
+      wall_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              CancelToken::Clock::now() - entry.received)
+              .count());
+      // The latency histogram keeps its pre-metrics meaning: solve wall
+      // time only, not the (instant) verb payloads.
+      if (entry.verb == Verb::kSolve || entry.verb == Verb::kSolveMany) {
+        request_us_.record(wall_us);
+      }
+    }
+    if (timed && options_.slow_ms >= 0 &&
+        wall_us / 1000 >= static_cast<std::uint64_t>(options_.slow_ms)) {
+      obs::Registry::global().add("net.slow_requests");
+      log_request(entry, completion, wall_us);
+    }
+    {
+      std::scoped_lock lock(connection.mutex);
+      if (!connection.peer_writable) return;
+    }
+    try {
+      write_frame(connection.fd.get(), response, options_.max_frame_bytes);
+      obs::Registry::global().add("net.responses");
+      obs::emit(nullptr, obs::EventKind::kCounter, "net.response",
+                /*a=*/response.size(), /*b=*/entry.futures.size() + entry.cached,
+                timed ? std::chrono::duration<double>(CancelToken::Clock::now() -
+                                                      entry.received)
+                            .count()
+                      : 0.0);
+    } catch (const FrameError& error) {
+      // Peer gone mid-write -- or, under SO_SNDTIMEO, a peer that stopped
+      // reading long enough to fill its receive window. Keep resolving
+      // futures (the no-dropped-futures contract) but stop writing.
+      {
+        std::scoped_lock lock(connection.mutex);
+        connection.peer_writable = false;
+      }
+      obs::Registry::global().add("net.write_failures");
+      if (error.kind() == FrameError::Kind::kTimeout) {
+        obs::Registry::global().add("net.timeouts");
+      }
+    }
   }
 
   /// Resolves an entry into its wire response. Every future is consumed even
@@ -488,6 +537,7 @@ class SolveServer::Impl {
       }
     }
     completion.status = "ok";
+    completion.cache_hit = entry.cached != 0;
     for (const SolveResult& result : results) {
       completion.queue_wait_us =
           std::max(completion.queue_wait_us,

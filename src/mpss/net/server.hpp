@@ -13,6 +13,16 @@
 //     (responses are FIFO per connection even though solves run concurrently
 //     across the pool).
 //
+// A solve whose every instance hits the result cache is answered inside
+// submit(), on the reader; the reader builds its reply from each cache
+// entry's result object, written once per entry. A reply that needs nothing
+// resolved (that one, a verb payload, an error) and has nothing queued ahead
+// of it is written by the reader itself, so a hit crosses no thread. Both
+// threads deliver through one path (resolve, account, log, write), and never
+// at once: the writer writes only a queued entry, which stays queued until
+// written, and the reader writes only while the queue is empty. Otherwise
+// the entry joins the FIFO behind what is ahead of it.
+//
 // Service semantics carry over from S44 unchanged: priorities and soft
 // deadlines travel as request hints, the LRU result cache is shared across
 // connections, and a client that disconnects mid-flight has its outstanding
@@ -28,8 +38,8 @@
 // Robustness (S48): readers run under per-connection read deadlines -- an
 // optional idle timeout between requests and a frame timeout from a request's
 // first byte to its last (the slowloris defense) -- and writers under
-// SO_SNDTIMEO, so neither a byte-dribbling nor a never-reading peer can pin a
-// thread forever. A per-connection inflight cap bounds the response FIFO: a
+// SO_SNDTIMEO (accepted sockets also set TCP_NODELAY), so neither a
+// byte-dribbling nor a never-reading peer can pin a thread forever. A per-connection inflight cap bounds the response FIFO: a
 // client that pipelines past it is held in its own socket until the writer
 // catches up. Every deadline expiry closes only the offending connection
 // (bumping net.timeouts) and never drops an accepted future.

@@ -1,6 +1,8 @@
 #include "mpss/service/batch_solver.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <list>
@@ -31,6 +33,7 @@ struct BatchSolver::Pending {
   int priority = 0;
   std::uint64_t seq = 0;  // admission order; the FIFO tiebreak within a priority
   SolveRequest request;
+  std::optional<std::uint64_t> key;  // cache key from admission; none = uncached
   std::promise<SolveResult> promise;
   CancelToken::Clock::time_point enqueued{};
 
@@ -52,29 +55,34 @@ class BatchSolver::Impl {
   std::condition_variable space_available_;
   std::vector<Pending> queue_;  // heap ordered by Pending::heap_before
   std::uint64_t next_seq_ = 0;
-  bool stopping_ = false;
+  // Written under queue_mutex_; atomic so that a cache hit can be refused
+  // after shutdown without taking the queue lock.
+  std::atomic<bool> stopping_{false};
 
   // LRU cache: most recent at the list front; the map indexes list nodes.
+  using Lru = std::list<std::pair<std::uint64_t, std::shared_ptr<const CachedResult>>>;
   mutable std::mutex cache_mutex_;
-  std::list<std::pair<std::uint64_t, SolveResult>> lru_;
-  std::unordered_map<std::uint64_t,
-                     std::list<std::pair<std::uint64_t, SolveResult>>::iterator>
-      cache_index_;
+  Lru lru_;
+  std::unordered_map<std::uint64_t, Lru::iterator> cache_index_;
   CacheStats cache_stats_;
 
-  [[nodiscard]] std::optional<SolveResult> cache_get(std::uint64_t key) {
+  /// The entry under `key`, made most recent, or nullptr. A hit always counts;
+  /// a miss only when `count_miss`: admission's lookup is a first look, and
+  /// the worker's lookup at dispatch decides.
+  [[nodiscard]] std::shared_ptr<const CachedResult> cache_get(std::uint64_t key,
+                                                              bool count_miss) {
     std::scoped_lock lock(cache_mutex_);
     auto it = cache_index_.find(key);
     if (it == cache_index_.end()) {
-      ++cache_stats_.misses;
-      return std::nullopt;
+      if (count_miss) ++cache_stats_.misses;
+      return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++cache_stats_.hits;
     return it->second->second;
   }
 
-  void cache_put(std::uint64_t key, const SolveResult& result,
+  void cache_put(std::uint64_t key, std::shared_ptr<const CachedResult> entry,
                  std::uint64_t* evicted) {
     std::scoped_lock lock(cache_mutex_);
     auto it = cache_index_.find(key);
@@ -82,7 +90,7 @@ class BatchSolver::Impl {
       lru_.splice(lru_.begin(), lru_, it->second);
       return;  // a concurrent miss on the same key beat us to the insert
     }
-    lru_.emplace_front(key, result);
+    lru_.emplace_front(key, std::move(entry));
     cache_index_.emplace(key, lru_.begin());
     while (lru_.size() > options_.cache_capacity) {
       cache_index_.erase(lru_.back().first);
@@ -125,8 +133,68 @@ void BatchSolver::shutdown() {
   pool_.wait_idle();  // pump loops drain the queue, then exit
 }
 
+namespace {
+
+/// Stamps the service-side request telemetry into a result's counters, the
+/// channel solve() results already use for engine telemetry. The daemon reads
+/// these to build its completion-log records.
+void annotate(SolveResult& result, std::uint64_t queue_wait_us, bool cache_hit) {
+  result.stats.counters.set("service.queue_wait_us", queue_wait_us);
+  result.stats.counters.set("service.cache_hit", cache_hit ? 1 : 0);
+}
+
+/// One cache hit's telemetry: the hits counter, the hit marker, and the
+/// request's done event (b = 1: served from the cache).
+void record_hit(std::uint64_t key, const CachedResult& entry, double seconds) {
+  obs::Registry::global().add("service.cache_hits");
+  obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_hit", key);
+  obs::emit(nullptr, obs::EventKind::kCounter, "service.done",
+            static_cast<std::uint64_t>(entry.result().status), /*b=*/1, seconds);
+}
+
+/// The accepted submission of a request that admission answered from the
+/// cache: the shared entry, and a deferred future that copies its result
+/// only when get() is called.
+Submission cached_submission(std::shared_ptr<const CachedResult> entry,
+                             std::uint64_t key,
+                             CancelToken::Clock::time_point admitted) {
+  obs::Registry::global().add("service.submitted");
+  record_hit(key, *entry,
+             std::chrono::duration<double>(CancelToken::Clock::now() - admitted)
+                 .count());
+  Submission submission;
+  submission.status = SubmitStatus::kAccepted;
+  submission.future = std::async(std::launch::deferred, [entry] {
+    SolveResult result = entry->result();
+    annotate(result, /*queue_wait_us=*/0, /*cache_hit=*/true);
+    return result;
+  });
+  submission.cached = std::move(entry);
+  return submission;
+}
+
+}  // namespace
+
 Submission BatchSolver::admit(SolveRequest&& request, bool blocking) {
   Submission submission;
+  // A stopping service refuses hits too (a miss checks again under the lock).
+  if (impl_->stopping_.load()) {
+    submission.status = SubmitStatus::kShutdown;
+    return submission;
+  }
+  // Fingerprint once, outside both locks; a miss carries the key to the
+  // worker. A hit is answered here: it takes no queue slot and no worker.
+  const CancelToken::Clock::time_point admitted = CancelToken::Clock::now();
+  std::optional<std::uint64_t> key;
+  if (impl_->options_.cache_capacity != 0) {
+    key = solve_fingerprint(request.instance, request.options);
+  }
+  if (key) {
+    if (std::shared_ptr<const CachedResult> entry =
+            impl_->cache_get(*key, /*count_miss=*/false)) {
+      return cached_submission(std::move(entry), *key, admitted);
+    }
+  }
   {
     std::unique_lock lock(impl_->queue_mutex_);
     const std::size_t capacity = impl_->options_.queue_capacity;
@@ -144,7 +212,7 @@ Submission BatchSolver::admit(SolveRequest&& request, bool blocking) {
       obs::Registry::global().add("service.rejected_full");
       return submission;
     }
-    Pending pending{request.priority, impl_->next_seq_++, std::move(request),
+    Pending pending{request.priority, impl_->next_seq_++, std::move(request), key,
                     std::promise<SolveResult>{}, CancelToken::Clock::now()};
     submission.status = SubmitStatus::kAccepted;
     submission.future = pending.promise.get_future();
@@ -208,18 +276,6 @@ void BatchSolver::worker_loop() {
   }
 }
 
-namespace {
-
-/// Stamps the service-side request telemetry into a result's counters, the
-/// channel solve() results already use for engine telemetry. The daemon reads
-/// these to build its completion-log records.
-void annotate(SolveResult& result, std::uint64_t queue_wait_us, bool cache_hit) {
-  result.stats.counters.set("service.queue_wait_us", queue_wait_us);
-  result.stats.counters.set("service.cache_hit", cache_hit ? 1 : 0);
-}
-
-}  // namespace
-
 void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
   const SolveRequest& request = pending.request;
   // Adopt the submitter's trace context: service.request becomes a root span
@@ -231,19 +287,16 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
       obs::TraceContext{request.trace_id, request.parent_span, 0});
   obs::SpanScope request_span(nullptr, "service.request");
 
-  std::optional<std::uint64_t> key;
-  if (impl_->options_.cache_capacity != 0) {
-    key = solve_fingerprint(request.instance, request.options);
-  }
+  // Looked up again at dispatch: an identical request may have been solved
+  // while this one queued.
+  const std::optional<std::uint64_t>& key = pending.key;
   if (key) {
-    if (std::optional<SolveResult> cached = impl_->cache_get(*key)) {
-      obs::Registry::global().add("service.cache_hits");
-      obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_hit", *key);
-      obs::emit(nullptr, obs::EventKind::kCounter, "service.done",
-                static_cast<std::uint64_t>(cached->status), /*b=*/1,
-                request_span.elapsed_seconds());
-      annotate(*cached, queue_wait_us, /*cache_hit=*/true);
-      pending.promise.set_value(std::move(*cached));
+    if (std::shared_ptr<const CachedResult> cached =
+            impl_->cache_get(*key, /*count_miss=*/true)) {
+      record_hit(*key, *cached, request_span.elapsed_seconds());
+      SolveResult result = cached->result();
+      annotate(result, queue_wait_us, /*cache_hit=*/true);
+      pending.promise.set_value(std::move(result));
       return;
     }
     obs::Registry::global().add("service.cache_misses");
@@ -272,7 +325,7 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
   }
   if (key && result.ok()) {
     std::uint64_t evicted = 0;
-    impl_->cache_put(*key, result, &evicted);
+    impl_->cache_put(*key, std::make_shared<const CachedResult>(result), &evicted);
     if (evicted != 0) {
       obs::Registry::global().add("service.cache_evictions", evicted);
       obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_evict", *key,

@@ -14,10 +14,17 @@
 //   * an LRU result cache keyed by the canonical (instance, options)
 //     fingerprint (service/fingerprint.hpp), so sweeps that revisit a cell
 //     (the adversary search re-scoring a mutated-then-reverted instance, a
-//     bench's repeat iterations) pay one solve;
+//     bench's repeat iterations) pay one solve. The instance is fingerprinted
+//     once, at admission, and a hit is answered there, on the caller's
+//     thread: it never queues, takes no worker and copies nothing until the
+//     caller asks for the result. Entries are shared (CachedResult), so the
+//     caller can hold one past its eviction. A request that misses at
+//     admission carries its key to the worker, which looks it up once more
+//     (an identical solve may have finished while it queued);
 //   * telemetry through the obs Registry: service.cache_{hits,misses,
-//     evictions} counters, the service.queue_wait_us histogram, and one
-//     "service.request" span + "service.done" counter event per request.
+//     evictions} counters, the service.queue_wait_us histogram (queued
+//     requests only), one "service.done" counter event per request, and one
+//     "service.request" span per request a worker runs.
 //
 // Results come back as std::future<SolveResult>; solve_many() is the one-shot
 // wrapper that submits a span of instances and returns results in input order.
@@ -26,7 +33,11 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <span>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mpss/solve.hpp"
@@ -57,6 +68,8 @@ struct SolveRequest {
   /// and every event of the solve carries the trace id. `parent_span` is a
   /// span id of THIS process (cross-process parents stay in net/ -- the
   /// server resolves the wire header into its own net.request span first).
+  /// A hit answered at admission runs no worker: its events go out on the
+  /// submitting thread, under that thread's own context.
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
 };
@@ -71,10 +84,41 @@ enum class SubmitStatus {
 /// Stable lowercase name ("accepted", "queue_full", "shutdown").
 [[nodiscard]] const char* submit_status_name(SubmitStatus status);
 
+/// One result-cache entry: a kOk result as solve() returned it (no service
+/// annotations), shared by the LRU and by every submission it answered, plus
+/// one slot that memoizes an encoding of it. The daemon keeps the result's
+/// wire object there, so a hot entry is encoded once, not once per hit; the
+/// bytes live and die with the entry.
+class CachedResult {
+ public:
+  explicit CachedResult(SolveResult result) : result_(std::move(result)) {}
+
+  [[nodiscard]] const SolveResult& result() const { return result_; }
+
+  /// What `encode(result(), out)` appends to an empty `out`. The first caller
+  /// runs it (under std::call_once); every later one, on any thread, gets the
+  /// same bytes. An entry has one encoding: every caller passes the same one.
+  template <typename Encode>
+  [[nodiscard]] std::string_view encoded(Encode&& encode) const {
+    std::call_once(encode_once_, [&] { encode(result_, encoded_); });
+    return encoded_;
+  }
+
+ private:
+  SolveResult result_;
+  mutable std::once_flag encode_once_;
+  mutable std::string encoded_;
+};
+
 /// Outcome of submit()/try_submit(). The future is valid only when accepted.
 struct Submission {
   SubmitStatus status = SubmitStatus::kShutdown;
   std::future<SolveResult> future;
+  /// Set when admission answered the request from the result cache. The
+  /// future is then deferred: get() copies the entry's result (annotated as a
+  /// hit with no queue wait) on the calling thread, and nothing runs if it is
+  /// never called.
+  std::shared_ptr<const CachedResult> cached;
 
   [[nodiscard]] bool accepted() const { return status == SubmitStatus::kAccepted; }
 };
@@ -104,11 +148,12 @@ class BatchSolver {
 
   /// Queues a request, blocking while the bounded queue is full (the
   /// backpressure path for producers that must not drop work). Returns
-  /// kShutdown without queuing when the service is stopping.
+  /// kShutdown without queuing when the service is stopping. A cache hit is
+  /// accepted at once, full queue or not (Submission::cached).
   [[nodiscard]] Submission submit(SolveRequest request);
 
   /// Non-blocking admission: kQueueFull instead of waiting when the bounded
-  /// queue is at capacity.
+  /// queue is at capacity and the request misses the cache.
   [[nodiscard]] Submission try_submit(SolveRequest request);
 
   /// Instance-first conveniences: the common "solve this value under these

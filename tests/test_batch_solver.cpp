@@ -1,7 +1,7 @@
 // Tests for the BatchSolver service layer (S44): concurrent batches agree with
-// serial solves bit for bit, the result cache returns identical results, soft
-// deadlines and cancellation come back as statuses, and the bounded admission
-// queue applies real backpressure.
+// serial solves bit for bit, the result cache returns identical results (a hit
+// at admission, even past a full queue), soft deadlines and cancellation come
+// back as statuses, and the bounded admission queue applies real backpressure.
 
 #include "mpss/service/batch_solver.hpp"
 
@@ -9,10 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "mpss/obs/registry.hpp"
+#include "mpss/obs/trace.hpp"
 #include "mpss/service/fingerprint.hpp"
 #include "mpss/util/cancel.hpp"
 #include "mpss/workload/generators.hpp"
@@ -105,6 +108,84 @@ TEST(BatchSolver, CacheHitReturnsTheSameResult) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+/// A per-request trace sink that holds the solving worker at the solve's
+/// first event until release(): a worker pinned inside a solve on demand.
+class BlockingSink final : public obs::TraceSink {
+ public:
+  void record(const obs::TraceEvent&) override {
+    std::unique_lock lock(mutex_);
+    if (entered_) return;
+    entered_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [&] { return released_; });
+  }
+  void wait_entered() {
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    {
+      std::scoped_lock lock(mutex_);
+      released_ = true;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(BatchSolver, CacheHitIsAnsweredAtAdmissionPastAFullQueue) {
+  BlockingSink sink;  // outlives the service, whose worker it will hold
+  BatchSolver service(BatchSolverOptions{.threads = 1, .queue_capacity = 1,
+                                         .cache_capacity = 8});
+  // Every way out of the test lets the worker go before the service waits
+  // for it, so a failed assertion fails instead of hanging.
+  struct ReleaseOnExit {
+    BlockingSink& sink;
+    ~ReleaseOnExit() { sink.release(); }
+  } release_on_exit{sink};
+  const Instance hot = test_instance(7);
+  const SolveResult cold = service.submit({hot, SolveOptions{}}).future.get();
+  ASSERT_TRUE(cold.ok());
+
+  // The one worker is held inside a solve and the queue's one slot is taken.
+  SolveOptions pinned;
+  pinned.trace = &sink;
+  Submission running = service.submit({test_instance(8), pinned});
+  ASSERT_TRUE(running.accepted());
+  sink.wait_entered();
+  Submission queued = service.try_submit({test_instance(9), SolveOptions{}});
+  ASSERT_EQ(queued.status, SubmitStatus::kAccepted);
+  EXPECT_EQ(service.try_submit({test_instance(10), SolveOptions{}}).status,
+            SubmitStatus::kQueueFull);
+
+  // A hit needs neither: admission answers it from the shared entry.
+  Submission hit = service.try_submit({hot, SolveOptions{}});
+  ASSERT_EQ(hit.status, SubmitStatus::kAccepted);
+  ASSERT_NE(hit.cached, nullptr);
+  const SolveResult warm = hit.future.get();
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.error_detail, cold.error_detail);
+  EXPECT_EQ(warm.energy, cold.energy);
+  expect_identical_schedules(*warm.exact_schedule(), *cold.exact_schedule());
+  expect_identical_schedules(*hit.cached->result().exact_schedule(),
+                             *cold.exact_schedule());
+  EXPECT_EQ(warm.stats.counters.value("service.cache_hit"), 1u);
+  EXPECT_EQ(warm.stats.counters.value("service.queue_wait_us"), 0u);
+
+  sink.release();
+  EXPECT_TRUE(running.future.get().ok());
+  EXPECT_TRUE(queued.future.get().ok());
+  service.shutdown();
+  EXPECT_EQ(service.try_submit({hot, SolveOptions{}}).status,
+            SubmitStatus::kShutdown);
+  EXPECT_EQ(service.submit({hot, SolveOptions{}}).status, SubmitStatus::kShutdown);
 }
 
 TEST(BatchSolver, CacheEvictsLeastRecentlyUsed) {
@@ -279,10 +360,11 @@ TEST(BatchSolver, ServiceCountersFlowThroughTheRegistry) {
   EXPECT_EQ(counters.value("service.submitted"), 2u);
   EXPECT_EQ(counters.value("service.cache_misses"), 1u);
   EXPECT_EQ(counters.value("service.cache_hits"), 1u);
+  // The hit was answered at admission and never queued: one queue wait.
   obs::HistogramMap histograms = obs::Registry::global().histogram_snapshot();
   auto it = histograms.find("service.queue_wait_us");
   ASSERT_NE(it, histograms.end());
-  EXPECT_EQ(it->second.count, 2u);
+  EXPECT_EQ(it->second.count, 1u);
   obs::Registry::global().reset();
 }
 

@@ -726,6 +726,54 @@ TEST(FuzzRegression, HugeScheduleIndicesAreRejectedNotCast) {
   EXPECT_THROW(decode_response(bad_job), ProtocolError);
 }
 
+TEST(FuzzRegression, ReplyMachinesAreBoundedByTheRequest) {
+  // 140 bytes that once sized 5,000,000 per-machine vectors (117 MB) in the
+  // client before a slice was read. Every engine schedules on exactly its
+  // instance's machines, so a reply to a 4-machine request may claim no other
+  // count.
+  const std::string huge =
+      R"({"v":1,"id":1,"ok":true,"results":[{"status":"ok","error_detail":"",)"
+      R"("energy":1,"schedule":{"type":"exact","machines":5000000,"slices":[]}}]})";
+  ASSERT_EQ(huge.size(), 140u);
+  const std::size_t four[] = {4};
+  try {
+    (void)decode_response(huge, four);
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kBadRequest);
+  }
+
+  const std::string fast =
+      R"({"v":1,"id":1,"ok":true,"results":[{"status":"ok","error_detail":"",)"
+      R"("energy":2.5,"schedule":{"type":"fast","machines":3,"slices":[[2,0,1,1.5,0]]}}]})";
+  EXPECT_THROW((void)decode_response(fast, four), ProtocolError);
+  const std::size_t three[] = {3};
+  EXPECT_EQ(decode_response(fast, three).results.at(0).fast_schedule()->machines.size(),
+            3u);
+  const std::size_t two_instances[] = {3, 3};
+  EXPECT_THROW((void)decode_response(fast, two_instances), ProtocolError);
+  // Without counts (verb replies, raw readers) the reply decodes as before.
+  EXPECT_EQ(decode_response(fast).results.size(), 1u);
+
+  // SolveClient bounds by its own request: a server answering a 4-machine
+  // solve with those 140 bytes gets a ProtocolError back.
+  ScopedFd listener = bind_listen_ipv4("127.0.0.1", 0, "test");
+  std::jthread replier([&] {
+    ScopedFd fd(::accept(listener.get(), nullptr, nullptr));
+    std::string payload;
+    if (fd.valid() && read_frame(fd.get(), payload)) write_frame(fd.get(), huge);
+  });
+  SolveClient client("127.0.0.1", bound_port(listener.get(), "test"),
+                     {.io_timeout_ms = 5000, .retry = {.max_attempts = 1}});
+  const Instance four_machines = small_instance().with_machines(4);
+  try {
+    (void)client.solve(four_machines);
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kBadRequest);
+  }
+}
+
 TEST(FuzzRegression, OverflowingReplyNumbersAreRejected) {
   // A literal past the double range parses to inf, which no encoder writes
   // (it writes null), so a reply carrying one could not round-trip: the

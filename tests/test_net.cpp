@@ -5,9 +5,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -78,6 +80,34 @@ ScopedFd raw_connect(std::uint16_t port) {
   return fd;
 }
 
+/// Status, detail, energy bits and every slice: what "bit-identical to the
+/// in-process solve()" means for a decoded result.
+void expect_bit_identical(const SolveResult& remote, const SolveResult& local) {
+  EXPECT_EQ(remote.status, local.status);
+  EXPECT_EQ(remote.error_detail, local.error_detail);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(remote.energy),
+            std::bit_cast<std::uint64_t>(local.energy));
+  ASSERT_NE(remote.exact_schedule(), nullptr);
+  ASSERT_NE(local.exact_schedule(), nullptr);
+  const Schedule& a = *remote.exact_schedule();
+  const Schedule& b = *local.exact_schedule();
+  ASSERT_EQ(a.machines(), b.machines());
+  for (std::size_t m = 0; m < a.machines(); ++m) {
+    auto sa = a.machine(m);
+    auto sb = b.machine(m);
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]);
+  }
+}
+
+/// One request frame out, one reply frame back, on a raw connection.
+std::string raw_round_trip(int fd, const Request& request) {
+  write_frame(fd, encode_request(request));
+  std::string payload;
+  EXPECT_TRUE(read_frame(fd, payload));
+  return payload;
+}
+
 // ---- framing ---------------------------------------------------------------
 
 TEST(Framing, RoundTripsPayloads) {
@@ -133,6 +163,20 @@ TEST(Framing, OversizedFramesAreRejectedOnBothSides) {
   std::string payload;
   EXPECT_THROW((void)read_frame(pair.b.get(), payload, /*max_bytes=*/1 << 20),
                FrameError);
+}
+
+TEST(Framing, AcceptedSocketsSetTcpNoDelay) {
+  ScopedFd listener = bind_listen_ipv4("127.0.0.1", 0, "test");
+  ScopedFd client(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(connect_loopback(client.get(), bound_port(listener.get(), "test")));
+  const std::atomic<bool> closed{false};
+  ScopedFd accepted = accept_connection(listener.get(), closed);
+  ASSERT_TRUE(accepted.valid());
+  int nodelay = 0;
+  socklen_t length = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &length),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 TEST(Framing, FuzzedStreamsNeverCrash) {
@@ -666,6 +710,148 @@ TEST(SolveServer, StatsAndHealthVerbs) {
   EXPECT_EQ(stats.at("cache").at("hits").as_double(), 1.0);
   EXPECT_EQ(stats.at("cache").at("misses").as_double(), 1.0);
   EXPECT_GE(stats.at("workers").as_double(), 1.0);
+  server.shutdown();
+}
+
+TEST(SolveServer, AllHitRepliesAreByteIdenticalToEncodedResults) {
+  // Hits are answered on the reader from each cache entry's memoized result
+  // object; the bytes must be exactly what encoding the results writes.
+  SolveServer server;
+  const Instance a = small_instance();
+  const Instance b = fractional_instance();
+  {
+    SolveClient warm("127.0.0.1", server.port());
+    ASSERT_TRUE(warm.solve(a).ok());
+    ASSERT_TRUE(warm.solve(b).ok());
+  }
+  const SolveResult local_a = solve(a);
+  const SolveResult local_b = solve(b);
+  const BatchSolver::CacheStats before = server.solver().cache_stats();
+
+  ScopedFd raw = raw_connect(server.port());
+  Request one;
+  one.id = 5;
+  one.verb = Verb::kSolve;
+  one.instances = {a};
+  EXPECT_EQ(raw_round_trip(raw.get(), one),
+            encode_results_response(5, std::span(&local_a, 1)));
+  Request many;
+  many.id = 6;
+  many.verb = Verb::kSolveMany;
+  many.instances = {b, a, b};
+  const SolveResult locals[] = {local_b, local_a, local_b};
+  EXPECT_EQ(raw_round_trip(raw.get(), many), encode_results_response(6, locals));
+  // Twice over: the second reply pastes the objects the first one wrote.
+  EXPECT_EQ(raw_round_trip(raw.get(), many), encode_results_response(6, locals));
+
+  const BatchSolver::CacheStats after = server.solver().cache_stats();
+  EXPECT_EQ(after.hits - before.hits, 7u);
+  EXPECT_EQ(after.misses, before.misses);
+  server.shutdown();
+}
+
+TEST(SolveServer, SolveManyMixingHitsAndAMissDecodesBitIdentically) {
+  SolveServer server;
+  SolveClient client("127.0.0.1", server.port());
+  const Instance hot = small_instance();
+  const Instance cold = fractional_instance();
+  ASSERT_TRUE(client.solve(hot).ok());
+  const std::vector<Instance> instances = {hot, cold, hot};
+  std::vector<SolveResult> remote = client.solve_many(instances);
+  ASSERT_EQ(remote.size(), instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_bit_identical(remote[i], solve(instances[i]));
+  }
+  const BatchSolver::CacheStats stats = server.solver().cache_stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  server.shutdown();
+}
+
+TEST(SolveServer, HitPipelinedBehindASlowMissIsAnsweredAfterIt) {
+  // The reader writes a hit itself only when nothing is queued ahead of it;
+  // behind a miss still solving, the hit waits its turn in the FIFO.
+  SolveServerOptions options;
+  options.service.threads = 1;
+  SolveServer server(std::move(options));
+  const Instance hot = small_instance();
+  {
+    SolveClient warm("127.0.0.1", server.port());
+    ASSERT_TRUE(warm.solve(hot).ok());
+  }
+  const Instance slow = generate_uniform(
+      {.jobs = 96, .machines = 4, .horizon = 96, .max_window = 10, .max_work = 8}, 21);
+
+  ScopedFd raw = raw_connect(server.port());
+  Request miss;
+  miss.id = 1;
+  miss.verb = Verb::kSolve;
+  miss.instances = {slow};
+  Request hit;
+  hit.id = 2;
+  hit.verb = Verb::kSolve;
+  hit.instances = {hot};
+  write_frame(raw.get(), encode_request(miss));
+  write_frame(raw.get(), encode_request(hit));
+
+  std::string payload;
+  ASSERT_TRUE(read_frame(raw.get(), payload));
+  Response first = decode_response(payload);
+  EXPECT_EQ(first.id, 1u);
+  ASSERT_EQ(first.results.size(), 1u);
+  EXPECT_TRUE(first.results[0].ok());
+  ASSERT_TRUE(read_frame(raw.get(), payload));
+  Response second = decode_response(payload);
+  EXPECT_EQ(second.id, 2u);
+  ASSERT_EQ(second.results.size(), 1u);
+  expect_bit_identical(second.results[0], solve(hot));
+  server.shutdown();
+}
+
+TEST(SolveServer, PipelinedHitsAndMissesComeBackInRequestOrder) {
+  // Hits interleaved with distinct misses on one connection: the FIFO drains
+  // and refills throughout, so replies come from the reader (inline) and the
+  // writer in turn, and must still arrive in id order, each one correct.
+  SolveServer server;
+  const std::vector<Instance> hot = {small_instance(), fractional_instance()};
+  {
+    SolveClient warm("127.0.0.1", server.port());
+    for (const Instance& instance : hot) ASSERT_TRUE(warm.solve(instance).ok());
+  }
+  constexpr std::uint64_t kRequests = 48;
+  std::vector<Instance> sent;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    sent.push_back(i % 2 == 0 ? hot[(i / 2) % 2]
+                              : generate_uniform({.jobs = 12, .machines = 3, .horizon = 24,
+                                                  .max_window = 8, .max_work = 6},
+                                                 100 + i));
+  }
+  ScopedFd raw = raw_connect(server.port());
+  std::jthread sender([&] {
+    try {
+      for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Request request;
+        request.id = i + 1;
+        request.verb = Verb::kSolve;
+        request.instances = {sent[i]};
+        write_frame(raw.get(), encode_request(request));
+      }
+    } catch (const FrameError&) {
+      // the reads below fail and report it
+    }
+  });
+  std::string payload;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(read_frame(raw.get(), payload));
+    Response response = decode_response(payload);
+    EXPECT_EQ(response.id, i + 1);
+    ASSERT_EQ(response.results.size(), 1u);
+    expect_bit_identical(response.results[0], solve(sent[i]));
+  }
+  sender.join();
+  EXPECT_EQ(server.solver().cache_stats().hits, kRequests / 2);
   server.shutdown();
 }
 
